@@ -9,7 +9,7 @@ matrices applied right-to-left (see rep.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -153,6 +153,11 @@ class BoundQuiverAlgebra:
     path_basis is a list of actual paths whose residue classes form a
     k-basis; products of basis paths expand over the basis through the
     precomputed structure constants.
+
+    memo() holds every result that depends only on the algebra and fixed
+    inputs (its opposite, projectives, global dimension, Krull-Schmidt
+    splits, projective replacements, derived Hom dimensions), computed once
+    and kept as long as the algebra object.
     """
 
     def __init__(self, quiver: Quiver, relations: list[Relation], p: int,
@@ -167,6 +172,17 @@ class BoundQuiverAlgebra:
         self.dim = len(paths)
         self.idempotent_index = {
             v: self.index[(v, ())] for v in quiver.vertices}
+        self._memo = {}
+
+    def memo(self, key, compute):
+        """The value of compute() stored under key, computed on first use.
+
+        key must name everything besides the algebra that the value
+        depends on; the value is shared by every caller, so never mutate it.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- elements are coefficient vectors over path_basis ------------------
 
@@ -198,10 +214,6 @@ class BoundQuiverAlgebra:
 
     def basis_paths_from(self, v: int) -> list[int]:
         return [i for i, q in enumerate(self.path_basis) if q.source == v]
-
-    def basis_paths_between(self, u: int, v: int) -> list[int]:
-        return [i for i, q in enumerate(self.path_basis)
-                if q.source == u and q.target == v]
 
     def __repr__(self):
         return (f"BoundQuiverAlgebra(p={self.p}, dim={self.dim}, "

@@ -409,6 +409,19 @@ def projective_replacement(x: Complex, cap: int = REPLACEMENT_SLACK):
     return px, qis
 
 
+def cached_replacement(x: Complex) -> Complex:
+    """projective_replacement(x)[0], computed once per encoding of x."""
+    return x.algebra.memo(("replacement", x.encode()),
+                          lambda: projective_replacement(x)[0])
+
+
+def derived_hom_dim(x: Complex, y: Complex) -> int:
+    """dim Hom(x, y) in the derived category, computed once per pair of
+    encodings (through the cached replacement of x)."""
+    return x.algebra.memo(("derived_hom", x.encode(), y.encode()),
+                          lambda: len(hom_homotopy(cached_replacement(x), y)))
+
+
 def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
     d = diffs.get(n)
     if d is not None:
@@ -437,25 +450,13 @@ def is_derived_isomorphic(x: Complex, y: Complex,
     if not hx:
         return True
     px, _ = projective_replacement(x)
-    classes = hom_homotopy(px, y)
-    if not classes:
-        return False
-    if x.p ** len(classes) > cap:
-        raise SearchExhausted("derived hom space too large to scan")
-    for coeffs in product(range(x.p), repeat=len(classes)):
-        if not any(coeffs):
-            continue
-        f = classes[0].scale(coeffs[0])
-        for b, c in zip(classes[1:], coeffs[1:]):
-            f = f + b.scale(c)
-        if is_quasi_iso(f):
-            return True
-    return False
+    return any(is_quasi_iso(f) for f in rep.all_maps(
+        hom_homotopy(px, y), x.p, skip_zero=True, cap=cap))
 
 
 # -- minimization and decomposition ---------------------------------------------
 
-def _complement_maps(parts, skip_index, ambient, into: bool):
+def _complement_maps(parts, skip_index, ambient):
     """Inclusion/projection of the direct sum of all parts except one."""
     alg = ambient.algebra
     keep = [k for k in range(len(parts)) if k != skip_index]
@@ -483,10 +484,9 @@ def _eliminate_once(x: Complex, cap: int):
                 alpha = compose(tp, compose(d, si))
                 if not alpha.is_iso():
                     continue
-                b_mod, b_inc, b_proj = _complement_maps(sparts, i, x.terms[n],
-                                                        True)
+                b_mod, b_inc, b_proj = _complement_maps(sparts, i, x.terms[n])
                 d_mod, d_inc, d_proj = _complement_maps(tparts, j,
-                                                        x.terms[n + 1], True)
+                                                        x.terms[n + 1])
                 alpha_inv = ModuleMap(
                     t, s, {v: gf.inverse(alpha.blocks[v], x.p)
                            for v in alpha.blocks}, check=False)
@@ -524,7 +524,7 @@ def minimize_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> Complex:
             return cur
 
 
-def _split_by_chain_idempotent(x: Complex, e: ChainMap, cap: int):
+def _split_by_chain_idempotent(x: Complex, e: ChainMap):
     out = []
     for maps_of in ("image", "kernel"):
         terms, diffs = {}, {}
@@ -572,22 +572,15 @@ def decompose_complex(x: Complex, cap: int = rep.END_ENUM_CAP):
 def _decompose_minimal(x: Complex, cap: int):
     if x.is_zero_complex():
         return []
-    endos = chain_maps(x, x)
-    if x.p ** len(endos) > cap:
-        raise SearchExhausted(
-            f"chain endomorphism ring of dimension {len(endos)} too large")
     ident = identity_chain(x)
-    id_coords = _chain_coords(endos, ident)
-    for coeffs in product(range(x.p), repeat=len(endos)):
-        if not any(coeffs) or list(coeffs) == id_coords.tolist():
-            continue
-        e = endos[0].scale(coeffs[0])
-        for b, c in zip(endos[1:], coeffs[1:]):
-            e = e + b.scale(c)
-        sq = compose_chain(e, e)
-        if all(np.array_equal(sq.map_at(n).total(), e.map_at(n).total())
-               for n in x.support):
-            parts = _split_by_chain_idempotent(x, e, cap)
+
+    def same(f, g):
+        return all(np.array_equal(f.map_at(n).total(), g.map_at(n).total())
+                   for n in x.support)
+
+    for e in rep.all_maps(chain_maps(x, x), x.p, skip_zero=True, cap=cap):
+        if not same(e, ident) and same(compose_chain(e, e), e):
+            parts = _split_by_chain_idempotent(x, e)
             out = []
             for piece in parts:
                 out.extend(_decompose_minimal(piece, cap))
@@ -652,13 +645,10 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     from .tilting import _sums_with_dim_bound
     found = []
-    parts_cache = {}
 
     def summand_maps(m):
-        key = m.encode()
-        if key not in parts_cache:
-            parts_cache[key] = rep.decompose_with_maps(m, cap)
-        return parts_cache[key]
+        return alg.memo(("summands", m.encode(), cap),
+                        lambda: rep.decompose_with_maps(m, cap))
 
     def has_invertible_component(d):
         # such a candidate is homotopy-equivalent to a smaller one that the

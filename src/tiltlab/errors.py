@@ -36,10 +36,6 @@ class SearchExhausted(TiltlabError):
 
 
 # homology
-class LengthExceeded(TiltlabError):
-    pass
-
-
 class NotBasic(TiltlabError):
     def __init__(self, message, multiplicities=None):
         super().__init__(message)

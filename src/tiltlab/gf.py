@@ -131,14 +131,6 @@ def in_span(cols: np.ndarray, v: np.ndarray, p: int) -> bool:
     return solve(cols, v % p, p) is not None
 
 
-def span_contains(big: np.ndarray, small: np.ndarray, p: int) -> bool:
-    return in_span(big, small, p)
-
-
-def span_equal(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    return in_span(a, b, p) and in_span(b, a, p)
-
-
 def quotient_map(sub: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Quotient of F_p^n by the column span of `sub`.
 
@@ -165,31 +157,7 @@ def quotient_map(sub: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarra
     return proj, sec
 
 
-def intersect(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Basis (columns) of the intersection of two column spans in F_p^n."""
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return zeros(a.shape[0], 0)
-    stacked = np.concatenate([a, -b % p], axis=1)
-    ker = nullspace(stacked, p)
-    inter = mul(a, ker[: a.shape[1], :], p)
-    return column_space(inter, p)
-
-
 def all_vectors(n: int, p: int):
     """Iterate over all vectors of F_p^n as (n,) arrays."""
     for coeffs in product(range(p), repeat=n):
         yield np.array(coeffs, dtype=np.int64)
-
-
-def all_combinations(basis: list[np.ndarray], p: int, skip_zero: bool = False):
-    """All F_p-linear combinations of a list of same-shape arrays."""
-    n = len(basis)
-    for coeffs in product(range(p), repeat=n):
-        if skip_zero and not any(coeffs):
-            continue
-        if n == 0:
-            yield None
-            continue
-        acc = sum((int(c) * basis[i] for i, c in enumerate(coeffs)),
-                  start=np.zeros_like(basis[0]))
-        yield np.mod(acc, p)

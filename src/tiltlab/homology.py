@@ -110,8 +110,10 @@ def projective_dimension(m: Module, cap: int = RESOLUTION_CAP) -> int:
 
 
 def global_dimension(alg: BoundQuiverAlgebra, cap: int = RESOLUTION_CAP) -> int:
-    return max(projective_dimension(rep.simple(alg, v), cap)
-               for v in alg.quiver.vertices)
+    """gl.dim A from the resolutions of the simples, computed once per cap."""
+    return alg.memo(("global_dimension", cap), lambda: max(
+        projective_dimension(rep.simple(alg, v), cap)
+        for v in alg.quiver.vertices))
 
 
 def injective_coresolution(m: Module, cap: int = RESOLUTION_CAP):
@@ -147,33 +149,32 @@ def _induced_matrix(src_basis, tgt_basis, induce, p):
     return np.stack(cols, axis=1) % p
 
 
+def _hom_cohomology_dim(length: int, hom, coboundary, i: int, p: int) -> int:
+    """dim H^i of a complex of hom spaces with terms 0..length-1 (i below
+    length): hom(j) is a basis of term j, coboundary(j, f) the image in
+    term j + 1 of f in term j."""
+    hom_i = hom(i)
+    rank_in = rank_out = 0
+    if i > 0:
+        rank_in = gf.rank(_induced_matrix(
+            hom(i - 1), hom_i, lambda f: coboundary(i - 1, f), p), p)
+    if i + 1 < length:
+        rank_out = gf.rank(_induced_matrix(
+            hom_i, hom(i + 1), lambda f: coboundary(i, f), p), p)
+    return len(hom_i) - rank_out - rank_in
+
+
 def ext_dim(x: Module, y: Module, i: int, cap: int = RESOLUTION_CAP) -> int:
     """dim Ext^i(x, y) from a minimal projective resolution of x."""
-    if i < 0:
-        return 0
-    if x.total_dim == 0 or y.total_dim == 0:
+    if i < 0 or x.total_dim == 0 or y.total_dim == 0:
         return 0
     terms, diffs, _ = minimal_projective_resolution(x, cap)
     if i >= len(terms):
         return 0
-    p = x.p
-    hom_i = rep.hom_space(terms[i], y)
-    # incoming: precompose Hom(P_{i-1}, y) -> Hom(P_i, y) with d_i
-    if i == 0:
-        rank_in = 0
-    else:
-        hom_prev = rep.hom_space(terms[i - 1], y)
-        mat_in = _induced_matrix(hom_prev, hom_i,
-                                 lambda f: compose(f, diffs[i - 1]), p)
-        rank_in = gf.rank(mat_in, p)
-    if i + 1 >= len(terms):
-        dim_ker = len(hom_i)
-    else:
-        hom_next = rep.hom_space(terms[i + 1], y)
-        mat_out = _induced_matrix(hom_i, hom_next,
-                                  lambda f: compose(f, diffs[i]), p)
-        dim_ker = len(hom_i) - gf.rank(mat_out, p)
-    return dim_ker - rank_in
+    # Hom(P_j, y) -> Hom(P_{j+1}, y) precomposes with d: P_{j+1} -> P_j
+    return _hom_cohomology_dim(len(terms),
+                               lambda j: rep.hom_space(terms[j], y),
+                               lambda j, f: compose(f, diffs[j]), i, x.p)
 
 
 def ext_dim_via_injectives(x: Module, y: Module, i: int,
@@ -184,23 +185,9 @@ def ext_dim_via_injectives(x: Module, y: Module, i: int,
     terms, diffs, _ = injective_coresolution(y, cap)
     if i >= len(terms):
         return 0
-    p = x.p
-    hom_i = rep.hom_space(x, terms[i])
-    if i == 0:
-        rank_in = 0
-    else:
-        hom_prev = rep.hom_space(x, terms[i - 1])
-        mat_in = _induced_matrix(hom_prev, hom_i,
-                                 lambda f: compose(diffs[i - 1], f), p)
-        rank_in = gf.rank(mat_in, p)
-    if i + 1 >= len(terms):
-        dim_ker = len(hom_i)
-    else:
-        hom_next = rep.hom_space(x, terms[i + 1])
-        mat_out = _induced_matrix(hom_i, hom_next,
-                                  lambda f: compose(diffs[i], f), p)
-        dim_ker = len(hom_i) - gf.rank(mat_out, p)
-    return dim_ker - rank_in
+    return _hom_cohomology_dim(len(terms),
+                               lambda j: rep.hom_space(x, terms[j]),
+                               lambda j, f: compose(diffs[j], f), i, x.p)
 
 
 def ext_dim_checked(x: Module, y: Module, i: int,
@@ -269,9 +256,7 @@ class EndomorphismData:
             _, inc, proj = self.summands[pos]
             out = compose(inc, proj).total()
         else:
-            out = self.arrow_matrices[path.arrows[0]]
-            for name in path.arrows[1:]:
-                out = gf.mul(out, self.arrow_matrices[name], self.b.p)
+            out = _arrow_product(path.arrows, self.arrow_matrices, self.b.p)
         self._psi_cache[i] = out
         return out
 
@@ -280,6 +265,14 @@ class EndomorphismData:
         for i in np.nonzero(vec)[0]:
             out = (out + int(vec[i]) * self.psi(int(i))) % self.b.p
         return out
+
+
+def _arrow_product(arrows: tuple, arrow_matrices: dict, p: int) -> np.ndarray:
+    """Total matrix on T of a nontrivial path of B (traversal order)."""
+    out = arrow_matrices[arrows[0]]
+    for name in arrows[1:]:
+        out = gf.mul(out, arrow_matrices[name], p)
+    return out
 
 
 def _local_radical(endos: list[ModuleMap], m: Module,
@@ -415,19 +408,6 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
         if nilp > dim_t + 1:
             raise InternalInconsistency("radical fails to be nilpotent")
 
-    def eval_path(path: Path) -> np.ndarray:
-        if not path.arrows:
-            pos = None
-            for k, lab in label_of.items():
-                if lab == path.source:
-                    pos = k
-            _, inc, proj = parts[pos]
-            return compose(inc, proj).total()
-        out = arrow_matrices[path.arrows[0]]
-        for name in path.arrows[1:]:
-            out = gf.mul(out, arrow_matrices[name], p)
-        return out
-
     # relations: kernel of the evaluation on paths of length 1..nilp
     paths_by_pair = {}
     frontier = [Path(v, (), v) for v in qb.vertices]
@@ -444,7 +424,8 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
         paths_by_pair.setdefault((q.source, q.target), []).append(q)
     relations = []
     for pair, plist in paths_by_pair.items():
-        mat = np.stack([eval_path(q).flatten() for q in plist], axis=1) % p
+        mat = np.stack([_arrow_product(q.arrows, arrow_matrices, p).flatten()
+                        for q in plist], axis=1) % p
         null = gf.nullspace(mat, p)
         for k in range(null.shape[1]):
             rel = [(int(null[r, k]), plist[r])

@@ -70,12 +70,6 @@ class Module:
     def slice(self, v: int) -> slice:
         return slice(self.offsets[v], self.offsets[v] + self.dims[v])
 
-    def arrow_total(self, name: str) -> np.ndarray:
-        a = self.algebra.quiver.arrow(name)
-        m = gf.zeros(self.total_dim, self.total_dim)
-        m[self.slice(a.target), self.slice(a.source)] = self.action[name]
-        return m
-
     def element_total(self, vec: np.ndarray) -> np.ndarray:
         """Total-space matrix of an algebra element (vector over path_basis)."""
         m = gf.zeros(self.total_dim, self.total_dim)
@@ -159,11 +153,6 @@ class ModuleMap:
         return ModuleMap(self.source, self.target,
                          {v: (self.blocks[v] - other.blocks[v]) % self.p
                           for v in self.blocks}, check=False)
-
-    def __neg__(self):
-        return ModuleMap(self.source, self.target,
-                         {v: (-self.blocks[v]) % self.p for v in self.blocks},
-                         check=False)
 
     def scale(self, c: int):
         return ModuleMap(self.source, self.target,
@@ -252,16 +241,20 @@ def hom_dim(m: Module, n: Module) -> int:
     return len(hom_space(m, n))
 
 
-def map_from_coeffs(basis: list[ModuleMap], coeffs) -> ModuleMap:
+def map_from_coeffs(basis: list, coeffs):
     out = basis[0].scale(int(coeffs[0]))
     for b, c in zip(basis[1:], coeffs[1:]):
         out = out + b.scale(int(c))
     return out
 
 
-def all_maps(basis: list[ModuleMap], p: int, skip_zero: bool = False,
+def all_maps(basis: list, p: int, skip_zero: bool = False,
              cap: int = END_ENUM_CAP):
-    """Iterate over all maps in the span of `basis` (finite field)."""
+    """Iterate over all maps in the span of `basis` (finite field).
+
+    The basis may hold module maps or chain maps (anything with .scale and
+    +); coefficient tuples come in lexicographic order.
+    """
     if not basis:
         return
     if p ** len(basis) > cap:
@@ -328,17 +321,6 @@ def cokernel(f: ModuleMap) -> tuple[Module, ModuleMap]:
     return c, ModuleMap(n, c, projs, check=False)
 
 
-def quotient_module(m: Module, incl: ModuleMap) -> tuple[Module, ModuleMap]:
-    return cokernel(incl)
-
-
-def preimage_submodule(f: ModuleMap, incl: ModuleMap) -> dict:
-    """Subspaces of f.source mapping into the submodule incl of f.target."""
-    _, proj = cokernel(incl)
-    comp = compose(proj, f)
-    return {v: gf.nullspace(comp.blocks[v], f.p) for v in f.source.vertex_order}
-
-
 def direct_sum(mods: list[Module]):
     """Returns (sum, inclusions, projections)."""
     if not mods:
@@ -385,8 +367,12 @@ def projective_structure(alg: BoundQuiverAlgebra, v: int):
 
     Returns (module, paths) where paths[w] lists, in coordinate order, the
     basis paths from v to w; the k-th basis vector of the w-component is
-    the class of paths[w][k].
+    the class of paths[w][k].  Built once per algebra and vertex.
     """
+    return alg.memo(("projective", v), lambda: _projective_structure(alg, v))
+
+
+def _projective_structure(alg: BoundQuiverAlgebra, v: int):
     idxs = alg.basis_paths_from(v)
     groups = {}  # target vertex -> ordered list of basis indices
     for i in idxs:
@@ -423,11 +409,9 @@ def dual_module(m: Module, op_alg: BoundQuiverAlgebra) -> Module:
 
 
 def opposite_of(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    op = getattr(alg, "_opposite_cache", None)
-    if op is None:
-        op = opposite_algebra(alg)
-        alg._opposite_cache = op
-        op._opposite_cache = alg
+    """A^op, built once; the opposite of A^op is A itself."""
+    op = alg.memo("opposite", lambda: opposite_algebra(alg))
+    op.memo("opposite", lambda: alg)
     return op
 
 

@@ -162,7 +162,6 @@ class TiltingContext:
         self.dim_bound = dim_bound
         self.certificate = check_classical_tilting(t, n, cap)
         self.data = endomorphism_algebra(t, cap=cap)
-        self.b_gldim = global_dimension(self.data.b)
         self._indecs = None
         self._rep_finite = None
         self._ext_rows = {}
@@ -209,7 +208,7 @@ def is_sequentially_static(ctx: TiltingContext, m: Module):
         ext_j = ext_as_b_module(ctx.data, m, j)
         if ext_j.total_dim == 0:
             continue
-        for i in range(max(ctx.n, ctx.b_gldim) + 1):
+        for i in range(max(ctx.n, global_dimension(ctx.data.b)) + 1):
             if i == j:
                 continue
             tor = tor_over_b(ctx.data, ext_j, i)
@@ -245,7 +244,7 @@ def lo_filtration(ctx: TiltingContext, x: Module) -> Filtration:
         inclusions.append(incl)
     for prev, cur in zip(inclusions, inclusions[1:]):
         for v in x.vertex_order:
-            if not gf.span_contains(cur.blocks[v], prev.blocks[v], x.p):
+            if not gf.in_span(cur.blocks[v], prev.blocks[v], x.p):
                 raise InternalInconsistency("torsion radicals are not nested")
     if inclusions[-1].source.total_dim != x.total_dim:
         raise InternalInconsistency("full generator trace misses the module")

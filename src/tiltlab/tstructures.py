@@ -6,9 +6,10 @@ from __future__ import annotations
 from itertools import product
 
 from . import derived, rep
-from .derived import (Complex, cohomology, cohomology_profile,
-                      hom_homotopy, is_derived_isomorphic, is_zero_in_derived,
-                      projective_replacement, shift, stalk_complex)
+from .derived import (Complex, cached_replacement, cohomology,
+                      cohomology_profile, derived_hom_dim, hom_homotopy,
+                      is_derived_isomorphic, is_zero_in_derived, shift,
+                      stalk_complex)
 from .errors import (ModeUnsupported, SearchExhausted, WindowTooSmall)
 from .tilting import TiltingContext, miyashita_class
 
@@ -24,14 +25,12 @@ class GeneratedTStructure:
     """
 
     def __init__(self, algebra, generators: list[Complex], kind: str,
-                 universe=None, hom_dim=None, name: str = ""):
+                 universe=None, name: str = ""):
         self.algebra = algebra
         self.generators = generators
         self.kind = kind
         self.universe = universe
         self.name = name
-        self._hom = hom_dim if hom_dim is not None else _HomCache().dim
-        self._gen_repl = [projective_replacement(g)[0] for g in generators]
         self._coaisle_memo = {}
         self._aisle_memo = {}
 
@@ -44,7 +43,8 @@ class GeneratedTStructure:
         if hit is not None:
             return hit
         ok = True
-        for pe in self._gen_repl:
+        for g in self.generators:
+            pe = cached_replacement(g)
             if pe.is_zero_complex():
                 continue
             lo = min(y.support) - k - max(pe.support)
@@ -52,7 +52,7 @@ class GeneratedTStructure:
             for j in range(lo, min(hi, -1) + 1):
                 if j >= 0:
                     break
-                if self._hom(pe, shift(y, k + j), replaced=True):
+                if derived_hom_dim(g, shift(y, k + j)):
                     ok = False
                     break
             if not ok:
@@ -72,10 +72,10 @@ class GeneratedTStructure:
             ok = all(n <= k for n in cohomology_profile(x))
         elif self.kind == "tilting":
             t = self.generators[0]
-            pt = self._gen_repl[0]
+            pt = cached_replacement(t)
             lo = min(x.support) - max(pt.support)
             hi = max(x.support) - min(pt.support)
-            ok = not any(self._hom(pt, shift(x, i), replaced=True)
+            ok = not any(derived_hom_dim(t, shift(x, i))
                          for i in range(max(k + 1, lo), hi + 1))
         else:
             ok = self._aisle_via_duality(x, k, window)
@@ -88,7 +88,7 @@ class GeneratedTStructure:
             raise ModeUnsupported(
                 "aisle test for a generic t-structure needs an enumerated "
                 "indecomposable universe")
-        px, _ = projective_replacement(x)
+        px = cached_replacement(x)
         if px.is_zero_complex():
             return True
         lo_need = min(px.support)
@@ -111,7 +111,7 @@ class GeneratedTStructure:
                 y = shift(u, s)
                 if not self.in_coaisle(y, k + 1):
                     continue
-                if self._hom(px, y, replaced=True):
+                if derived_hom_dim(x, y):
                     return False
         return True
 
@@ -127,31 +127,6 @@ class GeneratedTStructure:
                 if self.in_coaisle(y, 0) and self.in_aisle(y, 0):
                     out.append((ui, s))
         return sorted(out)
-
-
-class _HomCache:
-    """Derived Hom dimensions memoized on complex encodings."""
-
-    def __init__(self):
-        self._memo = {}
-        self._repl = {}
-
-    def replacement(self, x: Complex) -> Complex:
-        key = x.encode()
-        px = self._repl.get(key)
-        if px is None:
-            px = projective_replacement(x)[0]
-            self._repl[key] = px
-        return px
-
-    def dim(self, x: Complex, y: Complex, replaced: bool = False) -> int:
-        px = x if replaced else self.replacement(x)
-        key = (px.encode(), y.encode())
-        d = self._memo.get(key)
-        if d is None:
-            d = len(hom_homotopy(px, y))
-            self._memo[key] = d
-        return d
 
 
 class TTree:
@@ -205,12 +180,11 @@ class DerivedWorkbench:
         self.universe = derived.enumerate_indecomposable_complexes(
             self.algebra, width_bound, dim_bound, cap)
         self.window = self.n + 2
-        self.homs = _HomCache()
         t_stalk = stalk_complex(ctx.t, 0)
         a_stalk = stalk_complex(rep.regular_module(self.algebra), 0)
         self.tilting_structure = GeneratedTStructure(
             self.algebra, [t_stalk], "tilting", self.universe,
-            self.homs.dim, name="tilting")
+            name="tilting")
         self._intermediate = {}
         for i in range(self.n + 1):
             if i == 0:
@@ -221,7 +195,7 @@ class DerivedWorkbench:
                 kind = "generic"
             self._intermediate[i] = GeneratedTStructure(
                 self.algebra, [t_stalk, shift(a_stalk, i)],
-                kind, self.universe, self.homs.dim, name=f"level {i}")
+                kind, self.universe, name=f"level {i}")
         self._hearts = {}
         self._pairs = {}
 
@@ -281,7 +255,7 @@ class DerivedWorkbench:
         if self.in_additive_closure(x, y_keys, -s):
             return derived.zero_complex(self.algebra), None, x
         members = [shift(self.member(k), -s) for k in x_keys]
-        mults = [self.homs.dim(m, x) for m in members]
+        mults = [derived_hom_dim(m, x) for m in members]
         for counts in product(*(range(c + 1) for c in mults)):
             if not any(counts):
                 continue
@@ -289,18 +263,9 @@ class DerivedWorkbench:
             for m, c in zip(members, counts):
                 summands.extend([m] * c)
             u, _ = derived.direct_sum_complexes(summands)
-            pu = self.homs.replacement(u)
-            classes = hom_homotopy(pu, x)
-            if not classes:
-                continue
-            if self.algebra.p ** len(classes) > self.cap:
-                raise SearchExhausted("torsion-part morphism space too large")
-            for coeffs in product(range(self.algebra.p), repeat=len(classes)):
-                if not any(coeffs):
-                    continue
-                f = classes[0].scale(coeffs[0])
-                for b, c in zip(classes[1:], coeffs[1:]):
-                    f = f + b.scale(c)
+            classes = hom_homotopy(cached_replacement(u), x)
+            for f in rep.all_maps(classes, self.algebra.p, skip_zero=True,
+                                  cap=self.cap):
                 cone = derived.cone(f)
                 if self.in_additive_closure(cone, y_keys, -s):
                     return u, f, cone
@@ -410,7 +375,7 @@ class DerivedWorkbench:
             if not tilt.in_aisle(o, 0):
                 continue
             for y in objs:
-                if tilt.in_coaisle(y, 1) and self.homs.dim(o, y):
+                if tilt.in_coaisle(y, 1) and derived_hom_dim(o, y):
                     bad.append((o, y))
         report["t2_orthogonality"] = (not bad, f"{len(bad)} violations")
         return report

@@ -179,6 +179,32 @@ def test_enumeration_dedups_shifts(a3, mods):
         assert derived.is_indecomposable_complex(c)
 
 
+def test_enumeration_computes_global_dimension_once(monkeypatch):
+    fresh = algebra.build_algebra(
+        algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]), ["a*b"], 2)
+    calls = []
+    original = homology.projective_dimension
+
+    def counted(m, cap=homology.RESOLUTION_CAP):
+        calls.append(m.dim_vector())
+        return original(m, cap)
+
+    monkeypatch.setattr(homology, "projective_dimension", counted)
+    derived.enumerate_indecomposable_complexes(fresh, 2, 3)
+    # one resolution per simple module: gl.dim A computed a single time
+    assert sorted(calls) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def test_all_maps_skip_zero_over_chain_maps(mods):
+    x = stalk(rep.direct_sum([mods["1"], mods["2"]])[0])
+    endos = derived.chain_maps(x, x)
+    assert len(endos) == 2
+    maps = list(rep.all_maps(endos, 2, skip_zero=True))
+    assert len(maps) == 3
+    totals = {tuple(f.map_at(0).total().flatten().tolist()) for f in maps}
+    assert len(totals) == 3 and not any(f.is_zero() for f in maps)
+
+
 def test_one_vertex_algebra_single_object():
     b = algebra.build_algebra(algebra.make_quiver([1], []), [], 2)
     objs = derived.enumerate_indecomposable_complexes(b, 2, 2)

@@ -177,6 +177,21 @@ def test_dual_module_double_dual(a3, projs):
         assert rep.is_isomorphic(dd, projs[v]) is not None
 
 
+def test_opposite_of_opposite_is_the_algebra(a3):
+    op = rep.opposite_of(a3)
+    assert rep.opposite_of(op) is a3
+    assert rep.opposite_of(a3) is op
+
+
+def test_projective_is_built_once_per_algebra(a3):
+    first = rep.projective(a3, 1)
+    assert rep.projective(a3, 1) is first
+    fresh = build_algebra(make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+                          ["a*b"], p=2)
+    assert rep.projective(fresh, 1) is not first
+    assert rep.projective(fresh, 1).encode() == first.encode()
+
+
 def test_rep_from_abstract_recovers_regular(a3):
     def rho(i):
         cols = [a3.multiply_basis(j, i) for j in range(a3.dim)]

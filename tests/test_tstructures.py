@@ -117,7 +117,8 @@ def test_torsion_pair_orthogonality(wb):
         xk, yk = wb.heart_torsion_pair(i)
         for kx in xk:
             for ky in yk:
-                assert wb.homs.dim(wb.member(kx), wb.member(ky)) == 0
+                assert derived.derived_hom_dim(wb.member(kx),
+                                               wb.member(ky)) == 0
 
 
 def test_torsion_decompose_trivial_cases(wb, a3):
@@ -195,6 +196,16 @@ def test_leaf_placement_matches_tilting_class(wb, ctx, a3):
             assert sum(pos) == cls
             assert derived.is_derived_isomorphic(
                 leaf, derived.stalk_complex(m, 0))
+
+
+def test_second_workbench_reuses_the_algebra_memo(wb, ctx):
+    again = tstructures.DerivedWorkbench(ctx)
+    assert ([u.encode() for u in again.universe]
+            == [u.encode() for u in wb.universe])
+    for i in range(ctx.n + 1):
+        assert again.heart_members(i) == wb.heart_members(i)
+    for i in range(ctx.n):
+        assert again.heart_torsion_pair(i) == wb.heart_torsion_pair(i)
 
 
 def test_requires_representation_finite(a3):
