@@ -110,6 +110,17 @@ class ChainMap:
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.maps.values())
 
+    def total(self) -> np.ndarray:
+        """Block matrix over the degrees in order (block n, n: the map at n)."""
+        out = gf.zeros(self.target.total_dim(), self.source.total_dim())
+        r = c = 0
+        for n in sorted(set(self.source.support) | set(self.target.support)):
+            f = self.map_at(n)
+            out[r:r + f.target.total_dim, c:c + f.source.total_dim] = f.total()
+            r += f.target.total_dim
+            c += f.source.total_dim
+        return out
+
     def __add__(self, other):
         degs = set(self.maps) | set(other.maps)
         return ChainMap(self.source, self.target,
@@ -543,16 +554,12 @@ def _split_by_chain_idempotent(x: Complex, e: ChainMap):
                 continue
             moved = compose(x.diff(n), incls[n])
             blocks = {}
-            ok = True
             for v in moved.source.vertex_order:
-                sol = gf.solve(incls[n + 1].blocks[v], moved.blocks[v], x.p)
-                if sol is None:
-                    ok = False
-                    break
-                blocks[v] = sol
-            if not ok:
-                raise InternalInconsistency(
-                    "idempotent image is not a subcomplex")
+                blocks[v] = gf.solve(incls[n + 1].blocks[v], moved.blocks[v],
+                                     x.p)
+                if blocks[v] is None:
+                    raise InternalInconsistency(
+                        "idempotent image is not a subcomplex")
             diffs[n] = ModuleMap(terms[n], terms[n + 1], blocks, check=False)
         out.append(Complex(x.algebra, terms, diffs, check=True))
     return out
@@ -572,26 +579,22 @@ def decompose_complex(x: Complex, cap: int = rep.END_ENUM_CAP):
 def _decompose_minimal(x: Complex, cap: int):
     if x.is_zero_complex():
         return []
-    ident = identity_chain(x)
-
-    def same(f, g):
-        return all(np.array_equal(f.map_at(n).total(), g.map_at(n).total())
-                   for n in x.support)
-
-    for e in rep.all_maps(chain_maps(x, x), x.p, skip_zero=True, cap=cap):
-        if not same(e, ident) and same(compose_chain(e, e), e):
-            parts = _split_by_chain_idempotent(x, e)
-            out = []
-            for piece in parts:
-                out.extend(_decompose_minimal(piece, cap))
-            return out
-    return [x]
+    e = rep.find_idempotent(chain_maps(x, x), identity_chain(x).total(),
+                            x.p, cap)
+    if e is None:
+        return [x]
+    return [part for piece in _split_by_chain_idempotent(x, e)
+            for part in _decompose_minimal(piece, cap)]
 
 
 def is_indecomposable_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> bool:
+    """Decided on the minimized projective replacement, which is
+    indecomposable exactly when it has no idempotent besides 0 and 1."""
     if is_zero_in_derived(x):
         return False
-    return len(decompose_complex(x, cap)) == 1
+    mx = minimize_complex(projective_replacement(x)[0], cap)
+    return rep.find_idempotent(chain_maps(mx, mx), identity_chain(mx).total(),
+                               x.p, cap) is None
 
 
 def direct_sum_complexes(xs: list[Complex]):
@@ -646,15 +649,11 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     from .tilting import _sums_with_dim_bound
     found = []
 
-    def summand_maps(m):
-        return alg.memo(("summands", m.encode(), cap),
-                        lambda: rep.decompose_with_maps(m, cap))
-
     def has_invertible_component(d):
         # such a candidate is homotopy-equivalent to a smaller one that the
         # enumeration also visits
-        for _, si, _ in summand_maps(d.source):
-            for _, _, tp in summand_maps(d.target):
+        for _, si, _ in rep.decompose_with_maps(d.source, cap):
+            for _, _, tp in rep.decompose_with_maps(d.target, cap):
                 if compose(tp, compose(d, si)).is_iso():
                     return True
         return False

@@ -111,7 +111,8 @@ class ModuleMap:
             shape = (target.dims[v], source.dims[v])
             if b is None:
                 b = gf.zeros(*shape)
-            b = gf.asmat(b, self.p)
+            elif check:  # unchecked blocks: reduced int64, never mutated
+                b = gf.asmat(b, self.p)
             if b.shape != shape:
                 raise ValueError(f"block at {v}: shape {b.shape} != {shape}")
             self.blocks[v] = b
@@ -463,36 +464,39 @@ def is_isomorphic(m: Module, n: Module, cap: int = END_ENUM_CAP):
     return None
 
 
-def _find_idempotent(endos: list[ModuleMap], m: Module, cap: int):
-    p = m.p
-    ident = identity_map(m).total()
+def find_idempotent(endos: list, ident: np.ndarray, p: int, cap: int):
+    """The first idempotent other than 0 and `ident` in the span of `endos`
+    (module or chain maps, compared by .total()) in all_maps' order, or None."""
     for f in all_maps(endos, p, skip_zero=True, cap=cap):
         t = f.total()
-        if np.array_equal(t, ident):
-            continue
-        if np.array_equal(gf.mul(t, t, p), t):
+        if not np.array_equal(t, ident) and np.array_equal(gf.mul(t, t, p), t):
             return f
     return None
 
 
-def _fitting_split(endos: list[ModuleMap], m: Module):
-    p = m.p
+def _splitting_map(m: Module, cap: int):
+    """e with m = im e (+) ker e, both nonzero, or None if m is indecomposable.
+
+    Scans End(m) when p^dim End(m) <= cap.  Past the cap only a Fitting power
+    f^(N+1), N = dim m, of a basis element f that is neither 0 nor invertible
+    is a certificate; finding none proves nothing, so SearchExhausted."""
+    endos = hom_space(m, m)
+    if m.p ** len(endos) <= cap:
+        return find_idempotent(endos, identity_map(m).total(), m.p, cap)
     for f in endos:
-        t = f.total()
-        power = t
+        power = f
         for _ in range(m.total_dim):
-            power = gf.mul(power, t, p)
-        if power.any() and not gf.is_invertible(power, p):
-            # stable kernel/image split
-            fN = f
-            for _ in range(m.total_dim):
-                fN = compose(fN, f)
-            return fN
-    return None
+            power = compose(power, f)
+        t = power.total()
+        if t.any() and not gf.is_invertible(t, m.p):
+            return power
+    raise SearchExhausted(
+        f"End of a module of dimension {m.total_dim}: {m.p}^{len(endos)} "
+        f"exceeds cap {cap} and no Fitting power of a basis element splits it")
 
 
 def split_by_idempotent(m: Module, e: ModuleMap):
-    """m = im(e) (+) ker(e), with inclusions and projections."""
+    """m = im(e) (+) ker(e) for an idempotent or Fitting power e, with maps."""
     im, im_incl, _ = image(e)
     ker, ker_incl = kernel(e)
     p = m.p
@@ -511,21 +515,16 @@ def split_by_idempotent(m: Module, e: ModuleMap):
 
 
 def decompose_with_maps(m: Module, cap: int = END_ENUM_CAP):
-    """List of (indecomposable summand, inclusion, projection)."""
+    """List of (indecomposable summand, inclusion, projection), computed once
+    per encoding of m and cap; every call returns a new list."""
+    return list(m.algebra.memo(("summands", m.encode(), cap),
+                               lambda: _decompose_with_maps(m, cap)))
+
+
+def _decompose_with_maps(m: Module, cap: int):
     if m.total_dim == 0:
         return []
-    endos = hom_space(m, m)
-    e = None
-    if m.p ** len(endos) <= cap:
-        e = _find_idempotent(endos, m, cap)
-    else:
-        e = _fitting_split(endos, m)
-        if e is not None:
-            # use image/kernel of the stabilized power as the idempotent split
-            im, im_incl, _ = image(e)
-            ker, ker_incl = kernel(e)
-            if im.total_dim == 0 or ker.total_dim == 0:
-                e = None
+    e = _splitting_map(m, cap)
     if e is None:
         return [(m, identity_map(m), identity_map(m))]
     (im, i1, p1), (ker, i2, p2) = split_by_idempotent(m, e)
@@ -552,12 +551,7 @@ def decompose(m: Module, cap: int = END_ENUM_CAP):
 
 
 def is_indecomposable(m: Module, cap: int = END_ENUM_CAP) -> bool:
-    if m.total_dim == 0:
-        return False
-    endos = hom_space(m, m)
-    if m.p ** len(endos) <= cap:
-        return _find_idempotent(endos, m, cap) is None
-    return _fitting_split(endos, m) is None
+    return m.total_dim > 0 and _splitting_map(m, cap) is None
 
 
 def _dim_vectors(nvert: int, total: int):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab import algebra, derived, homology, rep
 
@@ -148,6 +149,21 @@ def test_decompose_complex(mods, a3):
     profiles = sorted(tuple(sorted(derived.cohomology_profile(c).items()))
                       for c in parts)
     assert profiles == [(((0, (0, 1, 0)),)), (((0, (0, 1, 1)),))]
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_early_exit_indecomposability_matches_decomposition(a3, data):
+    indecs = rep.enumerate_indecomposable_modules(a3, 2)
+    terms = [rep.direct_sum(data.draw(st.lists(st.sampled_from(indecs),
+                                               min_size=1, max_size=2)))[0]
+             for _ in range(2)]
+    d = rep.zero_map(*terms)
+    for f in rep.hom_space(*terms):
+        d = d + f.scale(data.draw(st.integers(0, a3.p - 1)))
+    x = derived.Complex(a3, {-1: terms[0], 0: terms[1]}, {-1: d})
+    assert derived.is_indecomposable_complex(x) == (
+        len(derived.decompose_complex(x)) == 1)
 
 
 def test_indecomposable_complexes_running_example(a3, mods):

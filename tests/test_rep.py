@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import rep
-from tiltlab.errors import RelationViolated
+from tiltlab import gf, rep
+from tiltlab.errors import RelationViolated, SearchExhausted
+
+
+def _running_example():
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    return build_algebra(q, ["a*b"], p=2)
 
 
 @pytest.fixture(scope="module")
 def a3():
-    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
-    return build_algebra(q, ["a*b"], p=2)
+    return _running_example()
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,96 @@ def test_decompose_with_maps_reassembles(a3, tilt):
     assert total.is_iso()  # sum of idempotents is the identity
     ident = rep.identity_map(tilt)
     assert np.array_equal(total.total(), ident.total())
+
+
+def test_fitting_fallback_refuses_instead_of_guessing():
+    kronecker = build_algebra(
+        make_quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [], p=3)
+    m = rep.check_module(kronecker, {1: 2, 2: 2},
+                         {"a": [[0, 2], [2, 1]], "b": [[2, 1], [0, 2]]})
+    assert not rep.is_indecomposable(m)  # the full scan splits it
+    # past the cap no Fitting power of a basis element splits it, which
+    # proves nothing: refused, not called indecomposable
+    with pytest.raises(SearchExhausted):
+        rep.is_indecomposable(m, cap=1)
+    with pytest.raises(SearchExhausted):
+        rep.decompose_with_maps(m, cap=1)
+    # a Fitting split past the cap is a certificate: S1^4 still splits
+    four = rep.direct_sum([rep.simple(kronecker, 1)] * 4)[0]
+    assert not rep.is_indecomposable(four, cap=3)
+    parts = rep.decompose_with_maps(four, cap=3)
+    assert [s.dim_vector() for s, _, _ in parts] == [(1, 0)] * 4
+    total = rep.zero_map(four, four)
+    for _, inc, proj in parts:
+        total = total + rep.compose(inc, proj)
+    assert np.array_equal(total.total(), rep.identity_map(four).total())
+
+
+def test_decompose_with_maps_is_memoized(monkeypatch):
+    fresh = _running_example()
+
+    def build():
+        return rep.direct_sum([rep.projective(fresh, 2), rep.projective(fresh, 1),
+                               rep.injective(fresh, 1)])[0]
+
+    first = rep.decompose_with_maps(build())
+    calls = []
+    original = rep.hom_space
+
+    def counted(m, n):
+        calls.append((m.dim_vector(), n.dim_vector()))
+        return original(m, n)
+
+    monkeypatch.setattr(rep, "hom_space", counted)
+    second = rep.decompose_with_maps(build())  # an equal module, not the same
+    assert calls == []  # no new search
+    assert second == first
+    second.clear()
+    third = rep.decompose_with_maps(build())
+    third.sort(key=lambda part: part[0].encode(), reverse=True)
+    assert rep.decompose_with_maps(build()) == first
+
+
+def _change_of_basis(draw, m):
+    """m under a random invertible change of basis g_v at every vertex."""
+    p = m.p
+    g = {}
+    for v in m.vertex_order:
+        n = m.dims[v]
+        lower, upper = gf.eye(n), gf.eye(n)
+        for i in range(n):
+            upper[i, i] = draw(st.integers(1, p - 1))
+            for j in range(i):
+                lower[i, j] = draw(st.integers(0, p - 1))
+                upper[j, i] = draw(st.integers(0, p - 1))
+        g[v] = gf.mul(lower, upper, p)
+    act = {a.name: gf.mulchain(p, g[a.target], m.action[a.name],
+                               gf.inverse(g[a.source], p))
+           for a in m.algebra.quiver.arrows}
+    return rep.check_module(m.algebra, m.dims, act)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_memoized_splits_of_random_interval_sums(a3, data):
+    # every indecomposable of the running example is an interval module
+    intervals = rep.enumerate_indecomposable_modules(a3, 3)
+    picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
+                               max_size=3))
+    m = _change_of_basis(data.draw, rep.direct_sum(picks)[0])
+    ident = rep.identity_map(m).total()
+    for parts in (rep.decompose_with_maps(m), rep.decompose_with_maps(m)):
+        total = rep.zero_map(m, m)
+        for s, inc, proj in parts:
+            assert np.array_equal(rep.compose(proj, inc).total(),
+                                  rep.identity_map(s).total())
+            total = total + rep.compose(inc, proj)
+        assert np.array_equal(total.total(), ident)
+    dims = [s.dim_vector() for s, _, _ in parts]
+    assert sorted(dims) == sorted(x.dim_vector() for x in picks)
+    fresh = _running_example()
+    copy = rep.check_module(fresh, m.dims, m.action)
+    assert [s.dim_vector() for s, _, _ in rep.decompose_with_maps(copy)] == dims
 
 
 def test_decompose_multiplicities(a3, projs):
