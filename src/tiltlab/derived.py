@@ -242,124 +242,85 @@ def is_zero_in_derived(x: Complex) -> bool:
 # -- chain maps and homotopy ---------------------------------------------------
 
 def chain_maps(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of the space of strict chain maps x -> y."""
+    """Basis of the space of strict chain maps x -> y.
+
+    One system over the degreewise Hom bases: d_Y^n f^n - f^{n+1} d_X^n = 0,
+    written entrywise in Hom_F(X^n, Y^{n+1})."""
     degs = sorted(set(x.support) & set(y.support))
+    bases = {n: rep.hom_space(x.terms[n], y.terms[n]) for n in degs}
+    degs = [n for n in degs if bases[n]]
     if not degs:
         return []
-    bases = {n: rep.hom_space(x.terms[n], y.terms[n]) for n in degs}
-    layout = []
-    off = 0
-    for n in degs:
-        layout.append((n, off, len(bases[n])))
-        off += len(bases[n])
-    nunk = off
-    if nunk == 0:
-        return []
     p = x.p
-    rows = []
-    cons_degs = sorted(n for n in x.support if (n + 1) in y.terms)
-    for n in cons_degs:
-        # d_Y^n f^n = f^{n+1} d_X^n inside Hom(X^n, Y^{n+1})
-        cross = rep.hom_space(x.term(n), y.term(n + 1))
-        ncons = len(cross)
-        if ncons == 0:
-            continue
-        row = gf.zeros(ncons, nunk)
-        for (m, moff, msz) in layout:
-            if msz == 0:
-                continue
-            if m == n:
-                for k in range(msz):
-                    col = coords_in_basis(
-                        cross, compose(y.diff(n), bases[n][k]))
-                    row[:, moff + k] = (row[:, moff + k] + col) % p
-            if m == n + 1:
-                for k in range(msz):
-                    col = coords_in_basis(
-                        cross, compose(bases[n + 1][k], x.diff(n)))
-                    row[:, moff + k] = (row[:, moff + k] - col) % p
-        rows.append(row)
-    sysmat = (np.concatenate(rows, axis=0) % p if rows
-              else gf.zeros(0, nunk))
-    null = gf.nullspace(sysmat, p)
-    out = []
-    for c in range(null.shape[1]):
-        maps = {}
-        for (n, noff, nsz) in layout:
-            if nsz == 0:
-                continue
-            f = rep.zero_map(x.terms[n], y.terms[n])
-            for k in range(nsz):
-                f = f + bases[n][k].scale(int(null[noff + k, c]))
-            maps[n] = f
-        out.append(ChainMap(x, y, maps, check=False))
-    return out
-
-
-def _chain_coords(basis: list[ChainMap], f: ChainMap) -> np.ndarray:
-    degs = sorted(set(f.source.support) & set(f.target.support))
-    if not basis:
-        if f.is_zero():
-            return np.zeros(0, dtype=np.int64)
-        raise ValueError("nonzero chain map in empty basis")
-    p = f.p
-
-    def flat(g):
-        return np.concatenate(
-            [g.map_at(n).total().flatten() for n in degs]) % p
-
-    mat = np.stack([flat(b) for b in basis], axis=1)
-    sol = gf.solve(mat, flat(f).reshape(-1, 1), p)
-    if sol is None:
-        raise ValueError("chain map not in span")
-    return sol[:, 0]
+    col, nunk = {}, 0
+    for n in degs:
+        col[n] = nunk
+        nunk += len(bases[n])
+    stacks = {n: np.stack([b.total() for b in bases[n]]) for n in degs}
+    rows = [gf.zeros(0, nunk)]
+    for n in sorted(n for n in x.support if (n + 1) in y.terms):
+        # one row per entry of a matrix X^n -> Y^{n+1}
+        block = gf.zeros(y.terms[n + 1].total_dim * x.terms[n].total_dim, nunk)
+        if n in col:
+            lhs = y.diff(n).total() @ stacks[n]
+            block[:, col[n]:col[n] + len(lhs)] = lhs.reshape(len(lhs), -1).T
+        if n + 1 in col:
+            rhs = stacks[n + 1] @ x.diff(n).total()
+            block[:, col[n + 1]:col[n + 1] + len(rhs)] -= \
+                rhs.reshape(len(rhs), -1).T
+        rows.append(block % p)
+    sysmat = np.concatenate(rows, axis=0)
+    null = gf.nullspace(sysmat[sysmat.any(axis=1)], p)
+    maps = [{} for _ in range(null.shape[1])]
+    for n in degs:
+        coeffs = null[col[n]:col[n] + len(bases[n])].T
+        for v in x.terms[n].vertex_order:
+            blocks = np.tensordot(
+                coeffs, np.stack([b.blocks[v] for b in bases[n]]), axes=1) % p
+            for c, block in enumerate(blocks):
+                maps[c].setdefault(n, {})[v] = block
+    return [ChainMap(x, y, {n: ModuleMap(x.terms[n], y.terms[n], blocks,
+                                         check=False)
+                            for n, blocks in m.items()}, check=False)
+            for m in maps]
 
 
 def homotopy_span(x: Complex, y: Complex,
                   chain_basis: list[ChainMap]) -> np.ndarray:
     """Coordinates (w.r.t. chain_basis) spanning the nullhomotopic maps."""
-    p = x.p
-    cols = []
+    hs = []
     for n in x.support:
         for sigma in rep.hom_space(x.terms[n], y.term(n - 1)):
             maps = {}
-            h_n = compose(y.diff(n - 1), sigma)
             if n in y.terms:
-                maps[n] = h_n
+                maps[n] = compose(y.diff(n - 1), sigma)
             if (n - 1) in x.terms and (n - 1) in y.terms:
                 maps[n - 1] = compose(sigma, x.diff(n - 1))
-            h = ChainMap(x, y, maps, check=False)
-            cols.append(_chain_coords(chain_basis, h))
-    if not cols:
+            hs.append(ChainMap(x, y, maps, check=False))
+    if not hs:
         return gf.zeros(len(chain_basis), 0)
-    return gf.column_space(np.stack(cols, axis=1), p)
+    return gf.column_space(coords_in_basis(chain_basis, hs), x.p)
 
 
 def hom_homotopy(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of chain maps modulo homotopy (class representatives)."""
+    """Basis of chain maps modulo homotopy (class representatives).
+
+    basis[k] is chosen exactly when e_k is outside the span of the
+    nullhomotopic maps and e_0..e_{k-1}: a pivot of rref([null | I])."""
     basis = chain_maps(x, y)
     if not basis:
         return []
-    p = x.p
     null = homotopy_span(x, y, basis)
-    reps = []
-    seen = null
-    for k, b in enumerate(basis):
-        e = np.zeros(len(basis), dtype=np.int64)
-        e[k] = 1
-        if gf.in_span(seen, e, p):
-            continue
-        seen = gf.column_space(
-            np.concatenate([seen, e.reshape(-1, 1)], axis=1), p)
-        reps.append(b)
-    return reps
+    _, pivots = gf.rref(np.concatenate([null, gf.eye(len(basis))], axis=1),
+                        x.p)
+    return [basis[k - null.shape[1]] for k in pivots if k >= null.shape[1]]
 
 
 def is_nullhomotopic(f: ChainMap) -> bool:
-    basis = chain_maps(f.source, f.target)
     if f.is_zero():
         return True
-    coords = _chain_coords(basis, f)
+    basis = chain_maps(f.source, f.target)
+    coords = coords_in_basis(basis, [f])
     null = homotopy_span(f.source, f.target, basis)
     return gf.in_span(null, coords, f.p)
 
@@ -682,7 +643,10 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                          for i in range(width - 1)}
             sizes = [len(hom_bases[i]) for i in range(width - 1)]
             if alg.p ** sum(sizes) > cap:
-                raise SearchExhausted("too many candidate differentials")
+                raise SearchExhausted(
+                    "derived enumeration: differentials of the complex with "
+                    f"terms {[terms[i].dim_vector() for i in range(width)]}: "
+                    f"{alg.p}^{sum(sizes)} exceeds cap {cap}")
             for assignment in product(
                     *(range(alg.p ** s) for s in sizes)):
                 diffs = {}

@@ -28,19 +28,21 @@ def module_self_bases(m: Module) -> dict:
     return out
 
 
-def coords_in_basis(basis: list[ModuleMap], f: ModuleMap) -> np.ndarray:
-    """Coordinates of f in a hom-space basis (raises if inconsistent)."""
+def coords_in_basis(basis: list, fs: list) -> np.ndarray:
+    """Coordinates of the maps fs (module or chain maps, compared by
+    .total()) in a linearly independent basis, one column per map, from one
+    solve; raises if some map is outside the span."""
     if not basis:
-        if f.is_zero():
-            return np.zeros(0, dtype=np.int64)
-        raise ValueError("nonzero map in zero hom space")
-    p = f.p
+        if any(not f.is_zero() for f in fs):
+            raise ValueError("nonzero map in zero hom space")
+        return gf.zeros(0, len(fs))
+    p = basis[0].p
     mat = np.stack([b.total().flatten() for b in basis], axis=1) % p
-    target = f.total().flatten().reshape(-1, 1) % p
+    target = np.stack([f.total().flatten() for f in fs], axis=1) % p
     x = gf.solve(mat, target, p)
     if x is None:
         raise ValueError("map is not in the span of the given basis")
-    return x[:, 0]
+    return x
 
 
 # -- projective covers and resolutions ----------------------------------------
@@ -141,12 +143,11 @@ def injective_coresolution(m: Module, cap: int = RESOLUTION_CAP):
 
 # -- Ext dimensions ------------------------------------------------------------
 
-def _induced_matrix(src_basis, tgt_basis, induce, p):
+def _induced_matrix(src_basis, tgt_basis, induce):
     """Matrix of a linear operation between hom spaces in given bases."""
     if not src_basis or not tgt_basis:
         return gf.zeros(len(tgt_basis), len(src_basis))
-    cols = [coords_in_basis(tgt_basis, induce(b)) for b in src_basis]
-    return np.stack(cols, axis=1) % p
+    return coords_in_basis(tgt_basis, [induce(b) for b in src_basis])
 
 
 def _hom_cohomology_dim(length: int, hom, coboundary, i: int, p: int) -> int:
@@ -157,10 +158,10 @@ def _hom_cohomology_dim(length: int, hom, coboundary, i: int, p: int) -> int:
     rank_in = rank_out = 0
     if i > 0:
         rank_in = gf.rank(_induced_matrix(
-            hom(i - 1), hom_i, lambda f: coboundary(i - 1, f), p), p)
+            hom(i - 1), hom_i, lambda f: coboundary(i - 1, f)), p)
     if i + 1 < length:
         rank_out = gf.rank(_induced_matrix(
-            hom_i, hom(i + 1), lambda f: coboundary(i, f), p), p)
+            hom_i, hom(i + 1), lambda f: coboundary(i, f)), p)
     return len(hom_i) - rank_out - rank_in
 
 
@@ -280,7 +281,9 @@ def _local_radical(endos: list[ModuleMap], m: Module,
     """Total matrices spanning the radical of a local endomorphism ring."""
     p = m.p
     if p ** len(endos) > cap:
-        raise SearchExhausted("endomorphism ring too large to scan")
+        raise SearchExhausted(
+            f"homology: End of the module with dimension vector "
+            f"{m.dim_vector()}: {p}^{len(endos)} exceeds cap {cap}")
     nilpotents = []
     for f in rep.all_maps(endos, p, skip_zero=True, cap=cap):
         t = f.total()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import algebra, derived, homology, rep
+from tiltlab import algebra, derived, gf, homology, rep
+from tiltlab.errors import SearchExhausted
 
 
 @pytest.fixture(scope="module")
@@ -151,9 +152,9 @@ def test_decompose_complex(mods, a3):
     assert profiles == [(((0, (0, 1, 0)),)), (((0, (0, 1, 1)),))]
 
 
-@settings(max_examples=15, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_early_exit_indecomposability_matches_decomposition(a3, data):
+def _two_term(a3, data, degree):
+    """A random complex T0 -> T1 in degrees degree, degree + 1, each term a
+    sum of one or two enumerated indecomposables of dimension at most 2."""
     indecs = rep.enumerate_indecomposable_modules(a3, 2)
     terms = [rep.direct_sum(data.draw(st.lists(st.sampled_from(indecs),
                                                min_size=1, max_size=2)))[0]
@@ -161,9 +162,85 @@ def test_early_exit_indecomposability_matches_decomposition(a3, data):
     d = rep.zero_map(*terms)
     for f in rep.hom_space(*terms):
         d = d + f.scale(data.draw(st.integers(0, a3.p - 1)))
-    x = derived.Complex(a3, {-1: terms[0], 0: terms[1]}, {-1: d})
+    # check=True verifies d o d = 0 and that d is a module map
+    return derived.Complex(a3, {degree: terms[0], degree + 1: terms[1]},
+                           {degree: d})
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_early_exit_indecomposability_matches_decomposition(a3, data):
+    x = _two_term(a3, data, -1)
     assert derived.is_indecomposable_complex(x) == (
         len(derived.decompose_complex(x)) == 1)
+
+
+def _check_chain_maps_by_scan(x, y):
+    p = x.p
+    basis = derived.chain_maps(x, y)
+    for f in basis:
+        f.verify()
+    if basis:
+        flat = np.stack([f.total().flatten() for f in basis], axis=1)
+        assert gf.rank(flat, p) == len(basis)
+    # every tuple of degreewise maps, kept when it commutes with d
+    gens = [derived.ChainMap(x, y, {n: g}, check=False)
+            for n in sorted(set(x.support) & set(y.support))
+            for g in rep.hom_space(x.terms[n], y.terms[n])]
+    commuting = 0 if gens else 1  # all_maps([]) omits the zero map
+    for f in rep.all_maps(gens, p):
+        try:
+            f.verify()
+        except ValueError:
+            continue
+        commuting += 1
+    assert commuting == p ** len(basis)
+    classes = derived.hom_homotopy(x, y)
+    null = derived.homotopy_span(x, y, basis)
+    assert len(classes) + gf.rank(null, p) == len(basis)
+    if classes:
+        coords = homology.coords_in_basis(basis, classes)
+        both = np.concatenate([null, coords], axis=1)
+        assert gf.rank(both, p) == gf.rank(null, p) + len(classes)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_chain_maps_match_exhaustive_scan(a3, data):
+    x = _two_term(a3, data, -1)
+    # x itself, or supports equal or overlapping in one degree only
+    degree = data.draw(st.sampled_from([None, -2, -1, 0]))
+    _check_chain_maps_by_scan(
+        x, x if degree is None else _two_term(a3, data, degree))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_maps_match_exhaustive_scan_on_resolutions(p):
+    alg = algebra.build_algebra(
+        algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+        ["a*b"], p)
+    proj = {v: rep.projective(alg, v) for v in (1, 2, 3)}
+    # P3 -> P2 and P2 -> P1 with nonzero differentials, the first shifted
+    cplx = [derived.Complex(alg, {-1: proj[s], 0: proj[t]},
+                            {-1: rep.hom_space(proj[s], proj[t])[0]})
+            for s, t in ((3, 2), (2, 1))]
+    cplx.append(derived.shift(cplx[0], 1))
+    for x in cplx:
+        for y in cplx:
+            _check_chain_maps_by_scan(x, y)
+
+
+def test_candidate_differential_refusal_names_its_size(monkeypatch):
+    k = algebra.build_algebra(algebra.make_quiver([1], []), [], 2)
+    # drop every candidate, so that the search reaches the first pair of
+    # terms whose differentials exceed the cap
+    monkeypatch.setattr(derived, "is_indecomposable_complex",
+                        lambda x, cap: False)
+    with pytest.raises(SearchExhausted) as info:
+        derived.enumerate_indecomposable_complexes(k, 2, 3, cap=2)
+    assert str(info.value) == (
+        "derived enumeration: differentials of the complex with terms "
+        "[(1,), (2,)]: 2^2 exceeds cap 2")
 
 
 def test_indecomposable_complexes_running_example(a3, mods):

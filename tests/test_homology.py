@@ -3,7 +3,7 @@ import pytest
 from tiltlab.algebra import build_algebra, make_quiver, presentations_match
 from tiltlab import homology as hl
 from tiltlab import rep
-from tiltlab.errors import NotBasic
+from tiltlab.errors import NotBasic, SearchExhausted
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +162,29 @@ def test_homology_at_exact_sequence(setup):
     assert hl.homology_at(f, g).is_zero()
     assert hl.homology_at(None, g).dim_vector() == (0, 0, 1)
     assert hl.homology_at(f, None).dim_vector() == (0, 1, 0)
+
+
+def test_local_radical_refusal_names_its_size():
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    p12 = rep.projective(build_algebra(q, ["a*b"], 2), 1)
+    with pytest.raises(SearchExhausted) as info:
+        hl._local_radical(rep.hom_space(p12, p12), p12, cap=1)
+    assert str(info.value) == (
+        "homology: End of the module with dimension vector (1, 1, 0): "
+        "2^1 exceeds cap 1")
+
+
+def test_coords_in_basis_one_column_per_map():
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    a = build_algebra(q, ["a*b"], 3)
+    m = rep.direct_sum([rep.projective(a, 2), rep.simple(a, 2)])[0]
+    basis = rep.hom_space(m, m)
+    fs = [basis[0].scale(2) + basis[-1], rep.zero_map(m, m), basis[1]]
+    coords = hl.coords_in_basis(basis, fs)
+    assert coords.shape == (len(basis), 3)
+    for k, f in enumerate(fs):
+        assert (rep.map_from_coeffs(basis, coords[:, k]).total()
+                == f.total()).all()
+    with pytest.raises(ValueError):
+        hl.coords_in_basis(basis[1:], [basis[0]])
+    assert hl.coords_in_basis([], [rep.zero_map(m, m)]).shape == (0, 1)
