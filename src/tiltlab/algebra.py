@@ -10,7 +10,6 @@ matrices applied right-to-left (see rep.py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -156,7 +155,8 @@ class BoundQuiverAlgebra:
 
     memo() holds every result that depends only on the algebra and fixed
     inputs (its opposite, projectives, global dimension, Krull-Schmidt
-    splits, projective replacements, derived Hom dimensions), computed once
+    splits, minimal projective resolutions, Ext and Tor modules over
+    End(T), projective replacements, derived Hom dimensions), computed once
     and kept as long as the algebra object.
     """
 
@@ -427,26 +427,3 @@ def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     return BoundQuiverAlgebra(op_quiver, op_relations, alg.p, op_paths,
                               op_table, alg.nilpotency)
 
-
-def presentations_match(a: BoundQuiverAlgebra, b: BoundQuiverAlgebra) -> bool:
-    """Structural comparison: a vertex bijection matching arrow counts and
-    the per-pair, per-length counts of basis paths."""
-    if a.p != b.p or a.dim != b.dim:
-        return False
-    va, vb = list(a.quiver.vertices), list(b.quiver.vertices)
-    if len(va) != len(vb):
-        return False
-
-    def profile(alg, u, v):
-        counts = {}
-        for q in alg.path_basis:
-            if q.source == u and q.target == v:
-                counts[len(q)] = counts.get(len(q), 0) + 1
-        return tuple(sorted(counts.items()))
-
-    for perm in permutations(vb):
-        m = dict(zip(va, perm))
-        if all(profile(a, u, v) == profile(b, m[u], m[v])
-               for u in va for v in va):
-            return True
-    return False

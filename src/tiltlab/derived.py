@@ -404,8 +404,7 @@ def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
 def hom_in_derived(x: Complex, y: Complex) -> list[ChainMap]:
     """Basis of Hom in the derived category (via a projective replacement
     of the source; the algebra has finite global dimension)."""
-    px, _ = projective_replacement(x)
-    return hom_homotopy(px, y)
+    return hom_homotopy(cached_replacement(x), y)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

@@ -88,7 +88,16 @@ def minimal_projective_resolution(m: Module, cap: int = RESOLUTION_CAP):
     """Returns (terms, diffs, eps): ... -> P_1 -> P_0 -eps-> M -> 0.
 
     diffs[i] is the map P_{i+1} -> P_i; terms stop at the first zero kernel.
+    Computed once per encoding of m and cap; every call gets fresh lists,
+    and eps lands in the given m.
     """
+    terms, diffs, eps = m.algebra.memo(("resolution", m.encode(), cap),
+                                       lambda: _resolve(m, cap))
+    return list(terms), list(diffs), ModuleMap(eps.source, m, eps.blocks,
+                                               check=False)
+
+
+def _resolve(m: Module, cap: int):
     terms, diffs = [], []
     p0, eps = projective_cover(m)
     terms.append(p0)
@@ -507,22 +516,31 @@ def hom_induced_map(data: EndomorphismData, src: TransportedModule,
 
 def ext_as_b_module(data: EndomorphismData, x: Module, i: int,
                     cap: int = RESOLUTION_CAP) -> Module:
-    """Ext^i_A(T, x) as a B-module, from an injective coresolution of x."""
-    if i < 0:
-        return rep.zero_module(data.b)
+    """Ext^i_A(T, x) as a B-module, from an injective coresolution of x.
+
+    Every degree is computed at once, once per encoding of x and cap; the
+    returned module is shared, so never mutate it."""
+    # B is built afresh for every End(T), so its memo already names T.
+    exts = data.b.memo(("ext", x.encode(), cap),
+                       lambda: _ext_modules(data, x, cap))
+    return exts[i] if 0 <= i < len(exts) else rep.zero_module(data.b)
+
+
+def _ext_modules(data: EndomorphismData, x: Module, cap: int) -> list:
+    """Every Ext^j(T, x): the cohomology of Hom(T, I^*) for one coresolution."""
     terms, diffs, _ = injective_coresolution(x, cap)
-    if i >= len(terms):
-        return rep.zero_module(data.b)
     homs = [hom_as_b_module(data, term) for term in terms]
-    incoming = None
-    if i > 0:
-        incoming = hom_induced_map(data, homs[i - 1], homs[i], diffs[i - 1])
-    outgoing = None
-    if i + 1 < len(terms):
-        outgoing = hom_induced_map(data, homs[i], homs[i + 1], diffs[i])
-    if outgoing is None and incoming is None:
-        return homs[i].module
-    return homology_at(incoming, outgoing)
+    maps = [hom_induced_map(data, homs[k], homs[k + 1], d)
+            for k, d in enumerate(diffs)]
+    return _homology_modules([h.module for h in homs],
+                             [None] + maps, maps + [None])
+
+
+def _homology_modules(terms: list, into: list, out_of: list) -> list:
+    """Homology at every term of a complex, given the maps into and out of
+    each term (None where there is none)."""
+    return [term if f is None and g is None else homology_at(f, g)
+            for term, f, g in zip(terms, into, out_of)]
 
 
 def tensor_over_b(data: EndomorphismData, n: Module) -> TransportedModule:
@@ -572,22 +590,24 @@ def tensor_induced_map(data: EndomorphismData, src: TransportedModule,
 
 def tor_over_b(data: EndomorphismData, n: Module, i: int,
                cap: int = RESOLUTION_CAP) -> Module:
-    """Tor_i^B(T, n) as an A-module."""
-    if i < 0:
-        return rep.zero_module(data.t.algebra)
+    """Tor_i^B(T, n) as an A-module.
+
+    Every degree is computed at once, once per encoding of n and cap; the
+    returned module is shared, so never mutate it."""
+    # n.algebra is B, built afresh for every End(T), so its memo names T.
+    tors = n.algebra.memo(("tor", n.encode(), cap),
+                          lambda: _tor_modules(data, n, cap))
+    return tors[i] if 0 <= i < len(tors) else rep.zero_module(data.t.algebra)
+
+
+def _tor_modules(data: EndomorphismData, n: Module, cap: int) -> list:
+    """Every Tor_i^B(T, n): the homology of T (x)_B P_* for one resolution."""
     terms, diffs, _ = minimal_projective_resolution(n, cap)
-    if i >= len(terms):
-        return rep.zero_module(data.t.algebra)
     tens = [tensor_over_b(data, term) for term in terms]
-    incoming = None
-    if i + 1 < len(terms):
-        incoming = tensor_induced_map(data, tens[i + 1], tens[i], diffs[i])
-    outgoing = None
-    if i > 0:
-        outgoing = tensor_induced_map(data, tens[i], tens[i - 1], diffs[i - 1])
-    if incoming is None and outgoing is None:
-        return tens[i].module
-    return homology_at(incoming, outgoing)
+    maps = [tensor_induced_map(data, tens[k + 1], tens[k], d)
+            for k, d in enumerate(diffs)]
+    return _homology_modules([t.module for t in tens],
+                             maps + [None], [None] + maps)
 
 
 def counit_map(data: EndomorphismData, x: Module,

@@ -1,0 +1,52 @@
+"""Helpers shared by the tests."""
+
+from itertools import permutations
+
+from hypothesis import strategies as st
+
+from tiltlab import gf, rep
+
+
+def presentations_match(a, b) -> bool:
+    """Path-count comparison of two bound quiver algebras: a vertex
+    bijection under which every pair of vertices has the same number of
+    basis paths of each length.  Equal counts are necessary for an
+    isomorphism, not a certificate of one."""
+    if a.p != b.p or a.dim != b.dim:
+        return False
+    va, vb = list(a.quiver.vertices), list(b.quiver.vertices)
+    if len(va) != len(vb):
+        return False
+
+    def profile(alg, u, v):
+        counts = {}
+        for q in alg.path_basis:
+            if q.source == u and q.target == v:
+                counts[len(q)] = counts.get(len(q), 0) + 1
+        return tuple(sorted(counts.items()))
+
+    for perm in permutations(vb):
+        m = dict(zip(va, perm))
+        if all(profile(a, u, v) == profile(b, m[u], m[v])
+               for u in va for v in va):
+            return True
+    return False
+
+
+def change_of_basis(draw, m):
+    """m under a random invertible change of basis g_v at every vertex."""
+    p = m.p
+    g = {}
+    for v in m.vertex_order:
+        n = m.dims[v]
+        lower, upper = gf.eye(n), gf.eye(n)
+        for i in range(n):
+            upper[i, i] = draw(st.integers(1, p - 1))
+            for j in range(i):
+                lower[i, j] = draw(st.integers(0, p - 1))
+                upper[j, i] = draw(st.integers(0, p - 1))
+        g[v] = gf.mul(lower, upper, p)
+    act = {a.name: gf.mulchain(p, g[a.target], m.action[a.name],
+                               gf.inverse(g[a.source], p))
+           for a in m.algebra.quiver.arrows}
+    return rep.check_module(m.algebra, m.dims, act)

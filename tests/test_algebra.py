@@ -3,9 +3,11 @@ import pytest
 
 from tiltlab.algebra import (
     build_algebra, make_quiver, opposite_algebra, parse_relation,
-    path_from_arrows, presentations_match,
+    path_from_arrows,
 )
 from tiltlab.errors import MalformedRelation, NonAdmissible
+
+from helpers import presentations_match
 
 
 @pytest.fixture(scope="module")

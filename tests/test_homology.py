@@ -1,9 +1,15 @@
-import pytest
+import functools
+from importlib import resources
 
-from tiltlab.algebra import build_algebra, make_quiver, presentations_match
-from tiltlab import homology as hl
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tiltlab.algebra import build_algebra, make_quiver
+from tiltlab import cli, homology as hl
 from tiltlab import rep
 from tiltlab.errors import NotBasic, SearchExhausted
+
+from helpers import change_of_basis, presentations_match
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +194,132 @@ def test_coords_in_basis_one_column_per_map():
     with pytest.raises(ValueError):
         hl.coords_in_basis(basis[1:], [basis[0]])
     assert hl.coords_in_basis([], [rep.zero_map(m, m)]).shape == (0, 1)
+
+
+def test_resolution_lists_are_fresh_on_every_call(setup):
+    _, _, _, tilt = setup
+    terms, diffs, eps = hl.minimal_projective_resolution(tilt)
+    dims = [t.dim_vector() for t in terms]
+    assert eps.target is tilt
+    terms.clear()
+    diffs.append(None)
+    again, again_diffs, _ = hl.minimal_projective_resolution(tilt)
+    assert [t.dim_vector() for t in again] == dims
+    assert len(again_diffs) == len(dims) - 1
+    assert None not in again_diffs
+
+
+def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
+    seen = {}
+    resolve = hl._resolve
+
+    def counted(m, cap):
+        key = (id(m.algebra), m.encode(), cap)
+        seen[key] = seen.get(key, 0) + 1
+        return resolve(m, cap)
+
+    monkeypatch.setattr(hl, "_resolve", counted)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    assert cli.main(["tor-table", bundled]) == 0
+    capsys.readouterr()
+    assert seen and max(seen.values()) == 1
+
+
+# -- the per-degree computations as they were before the memo, as an oracle ----
+
+def _resolution_per_call(m, cap=hl.RESOLUTION_CAP):
+    terms, diffs = [], []
+    p0, eps = hl.projective_cover(m)
+    terms.append(p0)
+    ker, incl = rep.kernel(eps)
+    while ker.total_dim > 0:
+        assert len(terms) <= cap
+        pn, cover = hl.projective_cover(ker)
+        diffs.append(rep.compose(incl, cover))
+        terms.append(pn)
+        ker, incl = rep.kernel(cover)
+    return terms, diffs
+
+
+def _coresolution_per_call(m):
+    alg = m.algebra
+    terms, diffs = _resolution_per_call(
+        rep.dual_module(m, rep.opposite_of(alg)))
+    inj = [rep.dual_module(t, alg) for t in terms]
+    return inj, [rep.ModuleMap(inj[k], inj[k + 1],
+                               {v: b.T.copy() for v, b in d.blocks.items()})
+                 for k, d in enumerate(diffs)]
+
+
+def _ext_per_degree(data, x, i):
+    terms, diffs = _coresolution_per_call(x)
+    if i >= len(terms):
+        return rep.zero_module(data.b)
+    homs = [hl.hom_as_b_module(data, term) for term in terms]
+    incoming = outgoing = None
+    if i > 0:
+        incoming = hl.hom_induced_map(data, homs[i - 1], homs[i],
+                                      diffs[i - 1])
+    if i + 1 < len(terms):
+        outgoing = hl.hom_induced_map(data, homs[i], homs[i + 1], diffs[i])
+    if outgoing is None and incoming is None:
+        return homs[i].module
+    return hl.homology_at(incoming, outgoing)
+
+
+def _tor_per_degree(data, n, i):
+    terms, diffs = _resolution_per_call(n)
+    if i >= len(terms):
+        return rep.zero_module(data.t.algebra)
+    tens = [hl.tensor_over_b(data, term) for term in terms]
+    incoming = outgoing = None
+    if i + 1 < len(terms):
+        incoming = hl.tensor_induced_map(data, tens[i + 1], tens[i], diffs[i])
+    if i > 0:
+        outgoing = hl.tensor_induced_map(data, tens[i], tens[i - 1],
+                                         diffs[i - 1])
+    if incoming is None and outgoing is None:
+        return tens[i].module
+    return hl.homology_at(incoming, outgoing)
+
+
+@functools.cache
+def _running_context(p):
+    """End(T) of the running tilting module over F_p, and the interval
+    modules; one per field, so its memo stays warm across examples."""
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    alg = build_algebra(q, ["a*b"], p)
+    tilt, _, _ = rep.direct_sum([rep.projective(alg, 2),
+                                 rep.projective(alg, 1),
+                                 rep.injective(alg, 1)])
+    return hl.endomorphism_algebra(tilt), rep.enumerate_indecomposable_modules(
+        alg, 3)
+
+
+def _assert_isomorphic(m, n):
+    assert m.dim_vector() == n.dim_vector()
+    assert rep.is_isomorphic(m, n) is not None
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_memoized_ext_and_tor_match_per_degree_computation(p, data):
+    # the memo is shared across examples; the oracle runs on a fresh B
+    warm, intervals = _running_context(p)
+    picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
+                               max_size=2))
+    m = change_of_basis(data.draw, rep.direct_sum(picks)[0])
+    fresh = hl.endomorphism_algebra(warm.t)
+    assert fresh.b.path_basis == warm.b.path_basis
+    degrees = range(4)
+    exts = [hl.ext_as_b_module(warm, m, j) for j in reversed(degrees)][::-1]
+    for j in degrees:
+        assert hl.ext_as_b_module(warm, m, j).encode() == exts[j].encode()
+        ref = _ext_per_degree(fresh, m, j)
+        _assert_isomorphic(exts[j],
+                           rep.check_module(warm.b, ref.dims, ref.action))
+        ref_on_fresh = rep.check_module(fresh.b, exts[j].dims, exts[j].action)
+        for i in degrees:
+            _assert_isomorphic(hl.tor_over_b(warm, exts[j], i),
+                               _tor_per_degree(fresh, ref_on_fresh, i))

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import gf, rep
+from tiltlab import rep
 from tiltlab.errors import RelationViolated, SearchExhausted
+
+from helpers import change_of_basis
 
 
 def _running_example():
@@ -178,25 +180,6 @@ def test_decompose_with_maps_is_memoized(monkeypatch):
     assert rep.decompose_with_maps(build()) == first
 
 
-def _change_of_basis(draw, m):
-    """m under a random invertible change of basis g_v at every vertex."""
-    p = m.p
-    g = {}
-    for v in m.vertex_order:
-        n = m.dims[v]
-        lower, upper = gf.eye(n), gf.eye(n)
-        for i in range(n):
-            upper[i, i] = draw(st.integers(1, p - 1))
-            for j in range(i):
-                lower[i, j] = draw(st.integers(0, p - 1))
-                upper[j, i] = draw(st.integers(0, p - 1))
-        g[v] = gf.mul(lower, upper, p)
-    act = {a.name: gf.mulchain(p, g[a.target], m.action[a.name],
-                               gf.inverse(g[a.source], p))
-           for a in m.algebra.quiver.arrows}
-    return rep.check_module(m.algebra, m.dims, act)
-
-
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_memoized_splits_of_random_interval_sums(a3, data):
@@ -204,7 +187,7 @@ def test_memoized_splits_of_random_interval_sums(a3, data):
     intervals = rep.enumerate_indecomposable_modules(a3, 3)
     picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
                                max_size=3))
-    m = _change_of_basis(data.draw, rep.direct_sum(picks)[0])
+    m = change_of_basis(data.draw, rep.direct_sum(picks)[0])
     ident = rep.identity_map(m).total()
     for parts in (rep.decompose_with_maps(m), rep.decompose_with_maps(m)):
         total = rep.zero_map(m, m)
