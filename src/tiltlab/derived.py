@@ -597,6 +597,91 @@ def normalize_shift(x: Complex) -> Complex:
     return shift(x, max(prof))
 
 
+def _part_blocks(combo, diffs: dict) -> dict:
+    """The differentials of an enumeration candidate, read between parts.
+
+    Term i is rep.direct_sum(combo[i]), so part a of term i sits at the same
+    offsets at every vertex.  Returns the nonzero components as
+    {(i, a, b): {vertex: block}}, the component of diffs[i] from part a of
+    term i to part b of term i + 1."""
+    offsets = []
+    for parts in combo:
+        start = dict.fromkeys(parts[0].vertex_order, 0)
+        offsets.append([])
+        for m in parts:
+            offsets[-1].append({v: slice(start[v], start[v] + m.dims[v])
+                                for v in start})
+            for v in start:
+                start[v] += m.dims[v]
+    blocks = {}
+    for i, d in diffs.items():
+        for a, cols in enumerate(offsets[i]):
+            for b, rows in enumerate(offsets[i + 1]):
+                block = {v: d.blocks[v][rows[v], cols[v]] for v in d.blocks}
+                if any(x.any() for x in block.values()):
+                    blocks[i, a, b] = block
+    return blocks
+
+
+def _has_invertible_block(blocks: dict, p: int) -> bool:
+    """Whether a differential has an invertible component.  The parts are
+    indecomposable, so this holds exactly when the differential lies outside
+    the radical, whatever decomposition of the terms is used (ARS V.7)."""
+    return any(all(gf.is_invertible(x, p) for x in block.values())
+               for block in blocks.values())
+
+
+def _visibly_splits(alg, combo, blocks: dict) -> bool:
+    """Whether the candidate is a direct sum of two subcomplexes that are
+    both nonzero in D^b, so decomposable.  Parts joined by a nonzero block
+    form the groups of a block-diagonal splitting; a one-part group is a
+    stalk of a nonzero module, and a longer one may be acyclic (an exact
+    sequence of parts), so its cohomology is checked."""
+    leader = {(i, a): (i, a)
+              for i, parts in enumerate(combo) for a in range(len(parts))}
+
+    def root(node):
+        while leader[node] != node:
+            node = leader[node]
+        return node
+
+    for i, a, b in blocks:
+        leader[root((i, a))] = root((i + 1, b))
+    groups = {}
+    for node in leader:
+        groups.setdefault(root(node), []).append(node)
+    nonzero = 0
+    for nodes in sorted(groups.values(), key=len):
+        if len(nodes) == 1 or not is_zero_in_derived(
+                _group_complex(alg, combo, blocks, nodes)):
+            nonzero += 1
+            if nonzero == 2:
+                return True
+    return False
+
+
+def _group_complex(alg, combo, blocks: dict, nodes: list) -> Complex:
+    """The subcomplex on a group of parts, each term the direct sum of the
+    group's parts in that degree."""
+    index = {}
+    for i, a in sorted(nodes):
+        index.setdefault(i, []).append(a)
+    sums = {i: rep.direct_sum([combo[i][a] for a in idx])
+            for i, idx in index.items()}
+    diffs = {}
+    for (i, a, b), block in blocks.items():
+        if a not in index.get(i, ()):
+            continue
+        _, _, projs = sums[i]
+        _, incs, _ = sums[i + 1]
+        f = compose(incs[index[i + 1].index(b)], compose(
+            ModuleMap(combo[i][a], combo[i + 1][b], block, check=False),
+            projs[index[i].index(a)]))
+        diffs[i] = diffs[i] + f if i in diffs else f
+    return Complex(alg, {i: s[0] for i, s in sums.items()}, diffs,
+                   check=False)
+
+
 def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                                        cap: int = rep.END_ENUM_CAP):
     """All indecomposables of the bounded derived category, up to shift and
@@ -608,15 +693,6 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     from .tilting import _sums_with_dim_bound
     found = []
-
-    def has_invertible_component(d):
-        # such a candidate is homotopy-equivalent to a smaller one that the
-        # enumeration also visits
-        for _, si, _ in rep.decompose_with_maps(d.source, cap):
-            for _, _, tp in rep.decompose_with_maps(d.target, cap):
-                if compose(tp, compose(d, si)).is_iso():
-                    return True
-        return False
 
     def record(x: Complex):
         nx = normalize_shift(x)
@@ -678,8 +754,12 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                             break
                     if degenerate:
                         continue
-                if any(has_invertible_component(diffs[i])
-                       for i in range(width - 1)):
+                blocks = _part_blocks(combo, diffs)
+                # an invertible component: homotopy-equivalent to a smaller
+                # candidate that the enumeration also visits
+                if _has_invertible_block(blocks, alg.p):
+                    continue
+                if _visibly_splits(alg, combo, blocks):
                     continue
                 cand = Complex(alg, terms, diffs, check=False)
                 if is_zero_in_derived(cand):

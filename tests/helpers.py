@@ -50,3 +50,15 @@ def change_of_basis(draw, m):
                                gf.inverse(g[a.source], p))
            for a in m.algebra.quiver.arrows}
     return rep.check_module(m.algebra, m.dims, act)
+
+
+def has_invertible_component(d, cap=rep.END_ENUM_CAP) -> bool:
+    """Whether d has an invertible component between the indecomposable
+    summands that rep.decompose_with_maps finds in its source and target:
+    the decomposition-based test, kept as an oracle for the enumeration's
+    block-based one."""
+    for _, si, _ in rep.decompose_with_maps(d.source, cap):
+        for _, _, tp in rep.decompose_with_maps(d.target, cap):
+            if rep.compose(tp, rep.compose(d, si)).is_iso():
+                return True
+    return False

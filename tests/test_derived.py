@@ -1,11 +1,17 @@
 """Bounded derived category over the three-vertex running algebra."""
 
+import contextlib
+import io
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import algebra, derived, gf, homology, rep
+from tiltlab import algebra, cli, derived, gf, homology, rep
 from tiltlab.errors import SearchExhausted
+
+from helpers import has_invertible_component
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +247,107 @@ def test_candidate_differential_refusal_names_its_size(monkeypatch):
     assert str(info.value) == (
         "derived enumeration: differentials of the complex with terms "
         "[(1,), (2,)]: 2^2 exceeds cap 2")
+
+
+def test_candidate_differential_cap_is_reached_unstubbed():
+    k = algebra.build_algebra(algebra.make_quiver([1], []), [], 2)
+    # the stalk 1 (+) 1 splits visibly, so nothing scans its End first
+    with pytest.raises(SearchExhausted) as info:
+        derived.enumerate_indecomposable_complexes(k, 2, 3, cap=2)
+    assert str(info.value) == (
+        "derived enumeration: differentials of the complex with terms "
+        "[(1,), (2,)]: 2^2 exceeds cap 2")
+
+
+@pytest.fixture(scope="module")
+def interval_modules(a3):
+    """(algebra, its interval modules) for the running example over F_2
+    and the path algebra of linear A3 over F_2 and F_3."""
+    out = [(a3, rep.enumerate_indecomposable_modules(a3, 3))]
+    q = algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    for p in (2, 3):
+        alg = algebra.build_algebra(q, [], p)
+        out.append((alg, rep.enumerate_indecomposable_modules(alg, 3)))
+    return out
+
+
+def _candidate(data, interval_modules):
+    """A two-term candidate built as the enumeration builds it: each term
+    the direct sum of one or two interval modules (a lone part is the term
+    itself), the differential a random combination of a Hom basis."""
+    alg, indecs = data.draw(st.sampled_from(interval_modules))
+    combo = [data.draw(st.lists(st.sampled_from(indecs), min_size=1,
+                                max_size=2)) for _ in range(2)]
+    terms = [rep.direct_sum(parts)[0] if len(parts) > 1 else parts[0]
+             for parts in combo]
+    d = rep.zero_map(*terms)
+    for f in rep.hom_space(*terms):
+        d = d + f.scale(data.draw(st.integers(0, alg.p - 1)))
+    return alg, combo, derived.Complex(alg, dict(enumerate(terms)), {0: d})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_visible_split_is_a_decomposition(interval_modules, data):
+    alg, combo, cand = _candidate(data, interval_modules)
+    blocks = derived._part_blocks(combo, cand.diffs)
+    if derived._visibly_splits(alg, combo, blocks):
+        assert len(derived.decompose_complex(cand, cap=10 ** 8)) >= 2
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_invertible_block_matches_decomposition_oracle(interval_modules,
+                                                       data):
+    alg, combo, cand = _candidate(data, interval_modules)
+    blocks = derived._part_blocks(combo, cand.diffs)
+    assert derived._has_invertible_block(blocks, alg.p) == \
+        has_invertible_component(cand.diffs[0])
+
+
+def test_acyclic_group_is_not_a_visible_summand(a3, mods):
+    # 0 -> 2 -> 12 -> 1 -> 0 is exact, so this is the stalk 3 in D^b
+    combo = [[mods["2"], mods["3"]], [mods["12"]], [mods["1"]]]
+    terms = {i: rep.direct_sum(parts)[0] if len(parts) > 1 else parts[0]
+             for i, parts in enumerate(combo)}
+    diffs = {i: rep.hom_space(terms[i], terms[i + 1])[0] for i in (0, 1)}
+    cand = derived.Complex(a3, terms, diffs)
+    blocks = derived._part_blocks(combo, diffs)
+    assert not derived._has_invertible_block(blocks, a3.p)
+    assert not derived._visibly_splits(a3, combo, blocks)
+    assert derived.cohomology_profile(cand) == {0: (0, 0, 1)}
+    assert derived.is_indecomposable_complex(cand)
+
+
+def test_running_example_enumeration_scans_few_candidates(monkeypatch):
+    calls = []
+    original = derived.is_indecomposable_complex
+
+    def counted(x, cap=rep.END_ENUM_CAP):
+        calls.append(x)
+        return original(x, cap)
+
+    monkeypatch.setattr(derived, "is_indecomposable_complex", counted)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["derived-indec", bundled]) == 0
+    # 94 before candidates that visibly split were skipped
+    assert len(calls) <= 14
+
+
+def test_a4_dim_bound_five_finds_the_dim_bound_four_profiles():
+    q = algebra.make_quiver([1, 2, 3, 4],
+                            [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+    alg = algebra.build_algebra(q, ["a*b", "b*c"], 2)
+
+    def profiles(dim_bound):
+        return sorted(tuple(sorted(derived.cohomology_profile(c).items()))
+                      for c in derived.enumerate_indecomposable_complexes(
+                          alg, 2, dim_bound))
+
+    four = profiles(4)
+    assert len(four) == 9
+    assert profiles(5) == four
 
 
 def test_indecomposable_complexes_running_example(a3, mods):
