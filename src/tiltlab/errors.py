@@ -68,10 +68,6 @@ class ModeUnsupported(TiltlabError):
     pass
 
 
-class WindowTooSmall(TiltlabError):
-    pass
-
-
 class InternalInconsistency(TiltlabError):
     pass
 

@@ -159,32 +159,34 @@ def _induced_matrix(src_basis, tgt_basis, induce):
     return coords_in_basis(tgt_basis, [induce(b) for b in src_basis])
 
 
-def _hom_cohomology_dim(length: int, hom, coboundary, i: int, p: int) -> int:
-    """dim H^i of a complex of hom spaces with terms 0..length-1 (i below
-    length): hom(j) is a basis of term j, coboundary(j, f) the image in
-    term j + 1 of f in term j."""
-    hom_i = hom(i)
-    rank_in = rank_out = 0
-    if i > 0:
-        rank_in = gf.rank(_induced_matrix(
-            hom(i - 1), hom_i, lambda f: coboundary(i - 1, f)), p)
-    if i + 1 < length:
-        rank_out = gf.rank(_induced_matrix(
-            hom_i, hom(i + 1), lambda f: coboundary(i, f)), p)
-    return len(hom_i) - rank_out - rank_in
+def _hom_cohomology_dims(homs: list, coboundary, p: int) -> list:
+    """dim H^i for every term i of a complex of hom spaces: homs[j] is a
+    basis of term j, coboundary(j, f) the image in term j + 1 of f in
+    term j."""
+    ranks = [gf.rank(_induced_matrix(
+        homs[j], homs[j + 1], lambda f, j=j: coboundary(j, f)), p)
+        for j in range(len(homs) - 1)]
+    return [len(hom) - r_in - r_out for hom, r_in, r_out
+            in zip(homs, [0] + ranks, ranks + [0])]
 
 
 def ext_dim(x: Module, y: Module, i: int, cap: int = RESOLUTION_CAP) -> int:
-    """dim Ext^i(x, y) from a minimal projective resolution of x."""
+    """dim Ext^i(x, y) from a minimal projective resolution of x.
+
+    Every degree is computed at once, from one complex Hom(P_*, y), once
+    per encoding of x and y and cap."""
     if i < 0 or x.total_dim == 0 or y.total_dim == 0:
         return 0
+    dims = x.algebra.memo(("ext_dims", x.encode(), y.encode(), cap),
+                          lambda: _ext_dims(x, y, cap))
+    return dims[i] if i < len(dims) else 0
+
+
+def _ext_dims(x: Module, y: Module, cap: int) -> list:
     terms, diffs, _ = minimal_projective_resolution(x, cap)
-    if i >= len(terms):
-        return 0
     # Hom(P_j, y) -> Hom(P_{j+1}, y) precomposes with d: P_{j+1} -> P_j
-    return _hom_cohomology_dim(len(terms),
-                               lambda j: rep.hom_space(terms[j], y),
-                               lambda j, f: compose(f, diffs[j]), i, x.p)
+    return _hom_cohomology_dims([rep.hom_space(t, y) for t in terms],
+                                lambda j, f: compose(f, diffs[j]), x.p)
 
 
 def ext_dim_via_injectives(x: Module, y: Module, i: int,
@@ -195,9 +197,8 @@ def ext_dim_via_injectives(x: Module, y: Module, i: int,
     terms, diffs, _ = injective_coresolution(y, cap)
     if i >= len(terms):
         return 0
-    return _hom_cohomology_dim(len(terms),
-                               lambda j: rep.hom_space(x, terms[j]),
-                               lambda j, f: compose(diffs[j], f), i, x.p)
+    return _hom_cohomology_dims([rep.hom_space(x, t) for t in terms],
+                                lambda j, f: compose(diffs[j], f), x.p)[i]
 
 
 def ext_dim_checked(x: Module, y: Module, i: int,

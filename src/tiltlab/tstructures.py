@@ -3,17 +3,45 @@ heart torsion pairs, torsion decompositions, and the depth-n t-tree."""
 
 from __future__ import annotations
 
-from itertools import product
+import numpy as np
 
-from . import derived, rep
+from . import derived, gf, rep
 from .derived import (Complex, cached_replacement, cohomology,
-                      cohomology_profile, derived_hom_dim, hom_homotopy,
-                      is_derived_isomorphic, is_zero_in_derived, shift,
-                      stalk_complex)
-from .errors import (ModeUnsupported, SearchExhausted, WindowTooSmall)
+                      cohomology_profile, compose_chain, derived_hom_dim,
+                      hom_homotopy, is_derived_isomorphic, is_zero_in_derived,
+                      shift, stalk_complex)
+from .errors import InternalInconsistency, ModeUnsupported, SearchExhausted
+from .homology import coords_in_basis
 from .tilting import TiltingContext, miyashita_class
 
-WINDOW_WIDEN_CAP = 16
+
+def describe(x: Complex) -> str:
+    """Cohomology profile of x, such as "H^-1=(0, 0, 1), H^0=(1, 0, 0)"."""
+    if x.is_zero_complex() or is_zero_in_derived(x):
+        return "0"
+    return ", ".join(f"H^{n}={h}" for n, h
+                     in sorted(cohomology_profile(x).items()))
+
+
+def _solve_rational(a: list, b: list):
+    """The solution of the square system a m = b over Q, or None when a is
+    singular."""
+    # imported here: fractions pulls in decimal, which costs every CLI
+    # command that never splits a t-tree node about 0.3 MB
+    from fractions import Fraction
+    n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(r)]
+            for row, r in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                q = rows[r][col] / rows[col][col]
+                rows[r] = [v - q * w for v, w in zip(rows[r], rows[col])]
+    return [rows[r][n] / rows[r][r] for r in range(n)]
 
 
 class GeneratedTStructure:
@@ -60,7 +88,7 @@ class GeneratedTStructure:
         self._coaisle_memo[key] = ok
         return ok
 
-    def in_aisle(self, x: Complex, k: int = 0, window: int = None) -> bool:
+    def in_aisle(self, x: Complex, k: int = 0) -> bool:
         """X in S^{<= k}."""
         if x.is_zero_complex():
             return True
@@ -78,11 +106,11 @@ class GeneratedTStructure:
             ok = not any(derived_hom_dim(t, shift(x, i))
                          for i in range(max(k + 1, lo), hi + 1))
         else:
-            ok = self._aisle_via_duality(x, k, window)
+            ok = self._aisle_via_duality(x, k)
         self._aisle_memo[key] = ok
         return ok
 
-    def _aisle_via_duality(self, x: Complex, k: int, window) -> bool:
+    def _aisle_via_duality(self, x: Complex, k: int) -> bool:
         """X in S^{<= k} iff Hom(X, Y) = 0 for every Y in S^{>= k+1}."""
         if self.universe is None:
             raise ModeUnsupported(
@@ -93,16 +121,6 @@ class GeneratedTStructure:
             return True
         lo_need = min(px.support)
         hi_need = max(px.support)
-        if window is not None:
-            width = window
-            while True:
-                if -width <= lo_need and hi_need <= width:
-                    break
-                if width > WINDOW_WIDEN_CAP:
-                    raise WindowTooSmall(
-                        f"support of candidate exceeds window cap "
-                        f"{WINDOW_WIDEN_CAP}")
-                width *= 2
         for u in self.universe:
             # shifts of u whose support can meet supp(px)
             lo = min(u.support) - hi_need
@@ -150,13 +168,8 @@ class TTree:
         lines = []
         for pos in sorted(self.nodes, key=lambda q: (len(q), q)):
             label = "X_" + ("".join(map(str, pos)) if pos else "()")
-            obj = self.nodes[pos]
-            if obj.is_zero_complex() or is_zero_in_derived(obj):
-                desc = "0"
-            else:
-                desc = ", ".join(f"H^{n}={h}" for n, h
-                                 in sorted(cohomology_profile(obj).items()))
-            lines.append("  " * len(pos) + f"{label}: {desc}")
+            lines.append("  " * len(pos)
+                         + f"{label}: {describe(self.nodes[pos])}")
         return "\n".join(lines)
 
 
@@ -246,31 +259,62 @@ class DerivedWorkbench:
         return True
 
     def torsion_decompose_in_heart(self, x: Complex, i: int, s: int):
-        """Triangle U -> X -> C with U built from X_i[-s] members and
-        C in add(Y_i[-s]); X must lie in H_i[-s]."""
+        """Triangle U -> X -> C with U in add(X_i[-s]) and C in
+        add(Y_i[-s]); X must lie in H_i[-s].
+
+        Hom(X_k, U) = Hom(X_k, X) for every torsion member X_k, as
+        Hom(X_k, C) and negative Ext in a heart vanish.  So the multiplicities
+        of U solve [dim Hom(X_k, X_j)] m = h over Q, h_k = dim Hom(X_k, X);
+        f is the first map U -> X with every Hom(X_k, f) injective, by rank
+        (equal dimensions make it bijective); and one additive-closure check
+        that cone(f) lies in add(Y_i[-s]) certifies the triangle."""
         x_keys, y_keys = self.heart_torsion_pair(i)
+        u = derived.zero_complex(self.algebra)
         if is_zero_in_derived(x):
-            z = derived.zero_complex(self.algebra)
-            return z, None, z
-        if self.in_additive_closure(x, y_keys, -s):
-            return derived.zero_complex(self.algebra), None, x
+            return u, None, u
         members = [shift(self.member(k), -s) for k in x_keys]
-        mults = [derived_hom_dim(m, x) for m in members]
-        for counts in product(*(range(c + 1) for c in mults)):
-            if not any(counts):
-                continue
-            summands = []
-            for m, c in zip(members, counts):
-                summands.extend([m] * c)
-            u, _ = derived.direct_sum_complexes(summands)
-            classes = hom_homotopy(cached_replacement(u), x)
-            for f in rep.all_maps(classes, self.algebra.p, skip_zero=True,
-                                  cap=self.cap):
-                cone = derived.cone(f)
-                if self.in_additive_closure(cone, y_keys, -s):
-                    return u, f, cone
-        raise SearchExhausted(
-            "no torsion decomposition found within the multiplicity cap")
+        h = [derived_hom_dim(m, x) for m in members]
+        f, c = None, x
+        if any(h):
+            homs = [[derived_hom_dim(self.member(k), self.member(j))
+                     for j in x_keys] for k in x_keys]
+            mults = _solve_rational(homs, h)
+            if mults is None:
+                raise SearchExhausted(
+                    f"torsion members {[describe(m) for m in members]} of "
+                    f"H_{i}[{-s}] have a singular Hom matrix {homs}")
+            if any(n.denominator != 1 or n < 0 for n in mults):
+                raise InternalInconsistency(
+                    f"torsion multiplicities {[str(n) for n in mults]} are "
+                    f"not natural numbers: {describe(x)} is not in "
+                    f"H_{i}[{-s}]")
+            u, _ = derived.direct_sum_complexes(
+                [m for m, n in zip(members, mults) for _ in range(int(n))])
+            f = self._torsion_inclusion(members, cached_replacement(u), x)
+            c = derived.cone(f)
+        if not self.in_additive_closure(c, y_keys, -s):
+            raise SearchExhausted(
+                f"{describe(c)} is not certified in add(Y_{i}[{-s}])")
+        return u, f, c
+
+    def _torsion_inclusion(self, members, pu: Complex, x: Complex):
+        """The first f: pu -> x in rep.all_maps order that keeps a basis of
+        every Hom(X_k, pu) independent modulo homotopy."""
+        p = self.algebra.p
+        checks = []
+        for pm in map(cached_replacement, members):
+            gs = hom_homotopy(pm, pu)
+            if gs:
+                basis = derived.chain_maps(pm, x)
+                checks.append((gs, basis, derived.homotopy_span(pm, x, basis)))
+        for f in rep.all_maps(hom_homotopy(pu, x), p, skip_zero=True,
+                              cap=self.cap):
+            if all(gf.rank(np.concatenate([null, coords_in_basis(
+                    basis, [compose_chain(f, g) for g in gs])], axis=1), p)
+                   == null.shape[1] + len(gs) for gs, basis, null in checks):
+                return f
+        raise SearchExhausted(f"no map onto the torsion part of {describe(x)} "
+                              f"within the search cap {self.cap}")
 
     def t_tree(self, x: rep.Module) -> TTree:
         tree = TTree(stalk_complex(x, 0), self.n)

@@ -1,10 +1,11 @@
 """Helpers shared by the tests."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import strategies as st
 
-from tiltlab import gf, rep
+from tiltlab import derived, gf, rep
+from tiltlab.errors import SearchExhausted
 
 
 def presentations_match(a, b) -> bool:
@@ -62,3 +63,33 @@ def has_invertible_component(d, cap=rep.END_ENUM_CAP) -> bool:
             if rep.compose(tp, rep.compose(d, si)).is_iso():
                 return True
     return False
+
+
+def torsion_decompose_by_search(wb, x, i, s):
+    """The torsion triangle U -> x -> C of x in H_i[-s] by exhaustive search:
+    every multiplicity vector of torsion members up to dim Hom(X_k, x), and
+    every map from their sum, until the cone lies in add(Y_i[-s]).  Kept as
+    an oracle for DerivedWorkbench.torsion_decompose_in_heart."""
+    x_keys, y_keys = wb.heart_torsion_pair(i)
+    if derived.is_zero_in_derived(x):
+        z = derived.zero_complex(wb.algebra)
+        return z, None, z
+    if wb.in_additive_closure(x, y_keys, -s):
+        return derived.zero_complex(wb.algebra), None, x
+    members = [derived.shift(wb.member(k), -s) for k in x_keys]
+    mults = [derived.derived_hom_dim(m, x) for m in members]
+    for counts in product(*(range(c + 1) for c in mults)):
+        if not any(counts):
+            continue
+        summands = []
+        for m, c in zip(members, counts):
+            summands.extend([m] * c)
+        u, _ = derived.direct_sum_complexes(summands)
+        classes = derived.hom_homotopy(derived.cached_replacement(u), x)
+        for f in rep.all_maps(classes, wb.algebra.p, skip_zero=True,
+                              cap=wb.cap):
+            cone = derived.cone(f)
+            if wb.in_additive_closure(cone, y_keys, -s):
+                return u, f, cone
+    raise SearchExhausted(
+        "no torsion decomposition found within the multiplicity cap")

@@ -1,8 +1,10 @@
-"""Golden `--format machine` output of the CLI on the bundled workspace.
+"""Golden `--format machine` output of the CLI.
 
 Each case's stdout and exit code must match, byte for byte, the files in
-tests/golden/, which were recorded from an earlier commit.  Only when a
-change of output is intended, record the changed cases again with
+tests/golden/, which were recorded from an earlier commit.  A case runs on
+the bundled running.tilt unless WORKSPACES names another workspace file in
+tests/golden/.  Only when a change of output is intended, record the
+changed cases again with
 
     PYTHONPATH=src python tests/test_golden.py --write CASE [CASE ...]
 
@@ -46,13 +48,24 @@ CASES = {
     "bside-f3": ["bside", "--field", "3"],
     "derived-indec-f3": ["derived-indec", "--field", "3"],
     "derived-indec-dim5": ["derived-indec", "--dim-bound", "5"],
+    "ttree-12x2_23": ["ttree", "--module", "12x2_23"],
+    "ttree-T_2": ["ttree", "--module", "T_2"],
+}
+
+WORKSPACES = {
+    "ttree-12x2_23": "sums.tilt",
+    "ttree-T_2": "sums.tilt",
 }
 
 
 def run_case(name: str) -> tuple[int, str]:
     """(exit code, stdout) of one case, run in this interpreter."""
     argv = CASES[name]
-    workspace = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    if name in WORKSPACES:
+        workspace = str(GOLDEN / WORKSPACES[name])
+    else:
+        workspace = str(resources.files("tiltlab").joinpath(
+            "data/running.tilt"))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):

@@ -225,6 +225,33 @@ def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
+def test_ext_table_builds_each_hom_space_once(capsys, monkeypatch):
+    # hom_space calls made from inside ext_dim, per (P_j, y) pair
+    seen, inside = {}, []
+    hom_space, ext_dim = rep.hom_space, hl.ext_dim
+
+    def counted_hom(m, n):
+        if inside:
+            key = (m.encode(), n.encode())
+            seen[key] = seen.get(key, 0) + 1
+        return hom_space(m, n)
+
+    def flagged_ext(*args):
+        inside.append(True)
+        try:
+            return ext_dim(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rep, "hom_space", counted_hom)
+    monkeypatch.setattr(hl, "ext_dim", flagged_ext)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    assert cli.main(["ext-table", bundled]) == 0
+    capsys.readouterr()
+    # 80 calls on 38 pairs when every degree built its own hom spaces
+    assert seen and max(seen.values()) == 1
+
+
 # -- the per-degree computations as they were before the memo, as an oracle ----
 
 def _resolution_per_call(m, cap=hl.RESOLUTION_CAP):

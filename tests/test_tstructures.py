@@ -1,9 +1,13 @@
 """t-structures, hearts and t-trees over the three-vertex running algebra."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab import algebra, derived, rep, tilting, tstructures
-from tiltlab.errors import ModeUnsupported
+from tiltlab.errors import (InternalInconsistency, ModeUnsupported,
+                            SearchExhausted)
+
+from helpers import change_of_basis, torsion_decompose_by_search
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +142,77 @@ def test_torsion_decompose_proper_triangle(wb, a3):
     assert profile(u) == {0: M23}
     assert profile(c) == {-1: S3}
     assert f is not None
+
+
+def assert_hom_bijective(wb, f, x, i, s):
+    """Hom(X_k, f): Hom(X_k, U) -> Hom(X_k, x) is bijective for every
+    torsion member X_k of H_i[-s]: no nonzero class goes to a nullhomotopic
+    map, and the dimensions agree."""
+    for k in wb.heart_torsion_pair(i)[0]:
+        m = derived.shift(wb.member(k), -s)
+        gs = derived.hom_homotopy(derived.cached_replacement(m), f.source)
+        assert len(gs) == derived.derived_hom_dim(m, x)
+        for g in rep.all_maps(gs, wb.algebra.p, skip_zero=True):
+            assert not derived.is_nullhomotopic(derived.compose_chain(f, g))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_torsion_decompose_matches_search(wb, a3, data):
+    intervals = rep.enumerate_indecomposable_modules(a3, 3)
+    picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
+                               max_size=2))
+    x = change_of_basis(data.draw, rep.direct_sum(picks)[0])
+    # every level i and shift s that t_tree visits
+    frontier = [((), derived.stalk_complex(x, 0))]
+    for i in range(wb.n):
+        nxt = []
+        for pos, node in frontier:
+            s = sum(pos)
+            u, f, c = wb.torsion_decompose_in_heart(node, i, s)
+            ou, _, oc = torsion_decompose_by_search(wb, node, i, s)
+            assert profile(u) == profile(ou)
+            assert profile(c) == profile(oc)
+            if f is not None:
+                assert_hom_bijective(wb, f, node, i, s)
+            nxt += [(pos + (0,), u), (pos + (1,), c)]
+        frontier = nxt
+
+
+def test_singular_hom_matrix_is_a_refusal(wb, a3, monkeypatch):
+    wb.heart_torsion_pair(0)
+    s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
+    monkeypatch.setattr(tstructures, "derived_hom_dim", lambda x, y: 1)
+    with pytest.raises(SearchExhausted, match="singular Hom matrix"):
+        wb.torsion_decompose_in_heart(s2, 0, 0)
+
+
+def test_fractional_multiplicities_are_an_inconsistency(wb, a3, monkeypatch):
+    # [dim Hom(X_k, X_j)] = 2 I and h = (1, ..., 1): m = 1/2
+    wb.heart_torsion_pair(0)
+    s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
+    monkeypatch.setattr(tstructures, "derived_hom_dim",
+                        lambda x, y: 1 if y is s2 else
+                        2 * (x.encode() == y.encode()))
+    with pytest.raises(InternalInconsistency, match="1/2"):
+        wb.torsion_decompose_in_heart(s2, 0, 0)
+
+
+def test_t_tree_of_a_sum_certifies_each_split_once(wb, a3, monkeypatch):
+    calls = []
+    original = tstructures.DerivedWorkbench.in_additive_closure
+
+    def counted(self, x, keys, extra_shift):
+        calls.append(x)
+        return original(self, x, keys, extra_shift)
+
+    monkeypatch.setattr(tstructures.DerivedWorkbench, "in_additive_closure",
+                        counted)
+    m12, m23 = rep.projective(a3, 1), rep.projective(a3, 2)
+    tree = wb.t_tree(rep.direct_sum([m12, m12, m23])[0])
+    # 1,422 when every multiplicity vector and map was tried
+    assert len(calls) <= len(tree.triangles)
+    assert profile(tree.node((0, 0))) == {0: (2, 3, 1)}
 
 
 def test_t_tree_of_simple_2(wb, a3):
