@@ -702,18 +702,18 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                 return
         found.append((mnx, nx))
 
+    # each choice of a term's parts, with their direct sum built once
+    term_choices = [(parts, rep.direct_sum(list(parts))[0]
+                     if len(parts) > 1 else parts[0])
+                    for parts in _sums_with_dim_bound(indec_mods, dim_bound)
+                    if parts]
     for width in range(1, width_bound + 1):
-        term_choices = []
-        for parts in _sums_with_dim_bound(indec_mods, dim_bound):
-            if parts:
-                term_choices.append(parts)
-        for combo in product(term_choices, repeat=width):
+        for picked in product(term_choices, repeat=width):
+            combo = tuple(parts for parts, _ in picked)
             if sum(sum(m.total_dim for m in parts) for parts in combo) \
                     > dim_bound:
                 continue
-            terms = {i: (rep.direct_sum(list(parts))[0]
-                         if len(parts) > 1 else parts[0])
-                     for i, parts in enumerate(combo)}
+            terms = {i: term for i, (_, term) in enumerate(picked)}
             hom_bases = {i: rep.hom_space(terms[i], terms[i + 1])
                          for i in range(width - 1)}
             sizes = [len(hom_bases[i]) for i in range(width - 1)]

@@ -331,10 +331,11 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
     for i, (si, inci, proji) in enumerate(parts):
         for j, (sj, incj, projj) in enumerate(parts):
             if i == j:
-                local = _local_radical(rep.hom_space(si, si), si, cap)
+                endos = rep.hom_space(si, si)
+                local = _local_radical(endos, si, cap)
                 rad[(i, j)] = [gf.mulchain(p, inci.total(), m, proji.total())
                                for m in local]
-                if len(rep.hom_space(si, si)) - len(local) != 1:
+                if len(endos) - len(local) != 1:
                     raise ModeUnsupported(
                         "endomorphism ring has a non-prime residue field")
             else:

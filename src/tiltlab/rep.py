@@ -565,11 +565,49 @@ def _dim_vectors(nvert: int, total: int):
 
 def enumerate_indecomposable_modules(alg: BoundQuiverAlgebra, dim_bound: int,
                                      node_cap: int = END_ENUM_CAP):
-    """All indecomposables of total dimension <= dim_bound, up to iso.
+    """All indecomposables of total dimension <= dim_bound, up to iso, in
+    the order of (total dimension, encoding).
 
-    Complete whenever the algebra is representation finite and dim_bound
-    exceeds its largest indecomposable; deterministic canonical order.
+    Knitted from the projectives when that closes within the bound, and then
+    all of ind A (knitting.knit_indecomposables); otherwise found by the
+    scan of every action (scan_indecomposable_modules), complete whenever
+    the algebra is representation finite and dim_bound exceeds its largest
+    indecomposable.  Computed once per algebra, bound and cap; every call
+    returns a new list.
     """
+    return list(_indecomposables(alg, dim_bound, node_cap)[1])
+
+
+def is_representation_finite(alg: BoundQuiverAlgebra, dim_bound: int,
+                             node_cap: int = END_ENUM_CAP):
+    """Returns (flag, indecomposables-up-to-bound).
+
+    When the knitting closes, the flag is True and certified: the list is
+    all of ind A.  Otherwise the flag is the heuristic "the scan finds
+    nothing of total dimension dim_bound".
+    """
+    mods = enumerate_indecomposable_modules(alg, dim_bound, node_cap)
+    knitted, _ = _indecomposables(alg, dim_bound, node_cap)
+    largest = max((m.total_dim for m in mods), default=0)
+    return knitted or largest < dim_bound, mods
+
+
+def _indecomposables(alg: BoundQuiverAlgebra, dim_bound: int, cap: int):
+    """(knitted, modules): whether the knitting closed, and the modules."""
+    def compute():
+        from .knitting import knit_indecomposables
+        knitted = knit_indecomposables(alg, dim_bound, cap)
+        if knitted is not None:
+            return True, tuple(knitted)
+        return False, tuple(scan_indecomposable_modules(alg, dim_bound, cap))
+    return alg.memo(("indecomposables", dim_bound, cap), compute)
+
+
+def scan_indecomposable_modules(alg: BoundQuiverAlgebra, dim_bound: int,
+                                node_cap: int = END_ENUM_CAP):
+    """Indecomposables of total dimension <= dim_bound, up to iso, from
+    every action on every dimension vector: the first action of each
+    isomorphism class in lexicographic order represents it."""
     verts = list(alg.quiver.vertices)
     p = alg.p
     found: list[Module] = []
@@ -604,17 +642,6 @@ def enumerate_indecomposable_modules(alg: BoundQuiverAlgebra, dim_bound: int,
             bucket.sort(key=lambda s: s.encode())
             found.extend(bucket)
     return found
-
-
-def is_representation_finite(alg: BoundQuiverAlgebra, dim_bound: int,
-                             node_cap: int = END_ENUM_CAP):
-    """Heuristic detection: enumeration stabilizes strictly below the bound.
-
-    Returns (flag, indecomposables-up-to-bound).
-    """
-    mods = enumerate_indecomposable_modules(alg, dim_bound, node_cap)
-    largest = max((m.total_dim for m in mods), default=0)
-    return largest < dim_bound, mods
 
 
 # -- abstract modules -> quiver representations -------------------------------

@@ -35,17 +35,25 @@ def presentations_match(a, b) -> bool:
 
 
 def change_of_basis(draw, m):
-    """m under a random invertible change of basis g_v at every vertex."""
+    """m under a random invertible change of basis g_v at every vertex,
+    drawn by hypothesis."""
+    return random_change_of_basis(
+        lambda lo, hi: draw(st.integers(lo, hi)), m)
+
+
+def random_change_of_basis(integer, m):
+    """m under an invertible change of basis g_v = L_v U_v at every vertex,
+    with every entry integer(lo, hi) (for instance random.Random.randint)."""
     p = m.p
     g = {}
     for v in m.vertex_order:
         n = m.dims[v]
         lower, upper = gf.eye(n), gf.eye(n)
         for i in range(n):
-            upper[i, i] = draw(st.integers(1, p - 1))
+            upper[i, i] = integer(1, p - 1)
             for j in range(i):
-                lower[i, j] = draw(st.integers(0, p - 1))
-                upper[j, i] = draw(st.integers(0, p - 1))
+                lower[i, j] = integer(0, p - 1)
+                upper[j, i] = integer(0, p - 1)
         g[v] = gf.mul(lower, upper, p)
     act = {a.name: gf.mulchain(p, g[a.target], m.action[a.name],
                                gf.inverse(g[a.source], p))

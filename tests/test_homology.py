@@ -1,4 +1,5 @@
 import functools
+import sys
 from importlib import resources
 
 import pytest
@@ -250,6 +251,27 @@ def test_ext_table_builds_each_hom_space_once(capsys, monkeypatch):
     capsys.readouterr()
     # 80 calls on 38 pairs when every degree built its own hom spaces
     assert seen and max(seen.values()) == 1
+
+
+def test_endomorphism_algebra_builds_each_hom_space_once(capsys,
+                                                         monkeypatch):
+    # hom_space calls made by endomorphism_algebra itself, per pair
+    seen = {}
+    hom_space = rep.hom_space
+
+    def counted_hom(m, n):
+        if sys._getframe(1).f_code is hl.endomorphism_algebra.__code__:
+            key = (m.encode(), n.encode())
+            seen[key] = seen.get(key, 0) + 1
+        return hom_space(m, n)
+
+    monkeypatch.setattr(rep, "hom_space", counted_hom)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    assert cli.main(["ext-table", bundled]) == 0
+    capsys.readouterr()
+    # End(T) and the 3 x 3 pairs of summands of T; each End(s_i) was built
+    # twice when the residue-field check built its own
+    assert len(seen) == 10 and max(seen.values()) == 1
 
 
 # -- the per-degree computations as they were before the memo, as an oracle ----
