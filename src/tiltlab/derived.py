@@ -413,16 +413,17 @@ def is_quasi_iso(f: ChainMap) -> bool:
 
 def is_derived_isomorphic(x: Complex, y: Complex,
                           cap: int = rep.END_ENUM_CAP) -> bool:
-    hx, hy = cohomology_profile(x), cohomology_profile(y)
-    if sorted(hx) != sorted(hy):
+    hx = cohomology_profile(x)
+    if hx != cohomology_profile(y):
         return False
-    if any(hx[n] != hy[n] for n in hx):
-        return False
-    if not hx:
-        return True
-    px, _ = projective_replacement(x)
+    return not hx or _has_quasi_iso(projective_replacement(x)[0], y, cap)
+
+
+def _has_quasi_iso(px: Complex, y: Complex, cap: int) -> bool:
+    """Whether some map from the complex of projectives px to y is a
+    quasi-isomorphism; Hom(px, y) up to homotopy is Hom in D^b."""
     return any(is_quasi_iso(f) for f in rep.all_maps(
-        hom_homotopy(px, y), x.p, skip_zero=True, cap=cap))
+        hom_homotopy(px, y), px.p, skip_zero=True, cap=cap))
 
 
 # -- minimization and decomposition ---------------------------------------------
@@ -495,6 +496,14 @@ def minimize_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> Complex:
             return cur
 
 
+def minimal_replacement(x: Complex, cap: int = rep.END_ENUM_CAP) -> Complex:
+    """The minimized projective replacement of x, computed once per encoding
+    of x and cap; shared, so never mutate it."""
+    return x.algebra.memo(
+        ("minimal", x.encode(), cap),
+        lambda: minimize_complex(projective_replacement(x)[0], cap))
+
+
 def _split_by_chain_idempotent(x: Complex, e: ChainMap):
     out = []
     for maps_of in ("image", "kernel"):
@@ -531,9 +540,7 @@ def decompose_complex(x: Complex, cap: int = rep.END_ENUM_CAP):
     Works on a minimized projective replacement, where homotopy
     equivalences are chain isomorphisms, so strict idempotents suffice.
     """
-    px, _ = projective_replacement(x)
-    mx = minimize_complex(px, cap)
-    return _decompose_minimal(mx, cap)
+    return _decompose_minimal(minimal_replacement(x, cap), cap)
 
 
 def _decompose_minimal(x: Complex, cap: int):
@@ -552,7 +559,7 @@ def is_indecomposable_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> bool:
     indecomposable exactly when it has no idempotent besides 0 and 1."""
     if is_zero_in_derived(x):
         return False
-    mx = minimize_complex(projective_replacement(x)[0], cap)
+    mx = minimal_replacement(x, cap)
     return rep.find_idempotent(chain_maps(mx, mx), identity_chain(mx).total(),
                                x.p, cap) is None
 
@@ -589,12 +596,16 @@ def direct_sum_complexes(xs: list[Complex]):
 
 # -- enumeration -----------------------------------------------------------------
 
-def normalize_shift(x: Complex) -> Complex:
-    """Shift so the top nonzero cohomology sits in degree zero."""
-    prof = cohomology_profile(x)
-    if not prof:
-        return zero_complex(x.algebra)
-    return shift(x, max(prof))
+def _picks_within(sizes: list[int], width: int, budget: int):
+    """Index tuples into sizes of the given width whose sizes add up to at
+    most budget, in the order of product(range(len(sizes)), repeat=width)."""
+    if width == 0:
+        yield ()
+        return
+    for k, size in enumerate(sizes):
+        if size <= budget:
+            for rest in _picks_within(sizes, width - 1, budget - size):
+                yield (k,) + rest
 
 
 def _part_blocks(combo, diffs: dict) -> dict:
@@ -692,28 +703,26 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     """
     indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     from .tilting import _sums_with_dim_bound
-    found = []
+    found = []   # (minimal replacement, candidate, cohomology profile)
 
-    def record(x: Complex):
-        nx = normalize_shift(x)
-        mnx = minimize_complex(projective_replacement(nx)[0], cap)
-        for other, _ in found:
-            if is_derived_isomorphic(mnx, other, cap):
-                return
-        found.append((mnx, nx))
+    def record(nx: Complex, prof: dict):
+        # the minimal complex of projectives is K-projective, so it maps to
+        # every other found object without a further replacement
+        mnx = minimal_replacement(nx, cap)
+        if not any(prof == oprof and _has_quasi_iso(mnx, other, cap)
+                   for other, _, oprof in found):
+            found.append((mnx, nx, prof))
 
     # each choice of a term's parts, with their direct sum built once
     term_choices = [(parts, rep.direct_sum(list(parts))[0]
                      if len(parts) > 1 else parts[0])
                     for parts in _sums_with_dim_bound(indec_mods, dim_bound)
                     if parts]
+    term_dims = [sum(m.total_dim for m in parts) for parts, _ in term_choices]
     for width in range(1, width_bound + 1):
-        for picked in product(term_choices, repeat=width):
-            combo = tuple(parts for parts, _ in picked)
-            if sum(sum(m.total_dim for m in parts) for parts in combo) \
-                    > dim_bound:
-                continue
-            terms = {i: term for i, (_, term) in enumerate(picked)}
+        for pick in _picks_within(term_dims, width, dim_bound):
+            combo = tuple(term_choices[k][0] for k in pick)
+            terms = {i: term_choices[k][1] for i, k in enumerate(pick)}
             hom_bases = {i: rep.hom_space(terms[i], terms[i + 1])
                          for i in range(width - 1)}
             sizes = [len(hom_bases[i]) for i in range(width - 1)]
@@ -762,12 +771,16 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                 if _visibly_splits(alg, combo, blocks):
                     continue
                 cand = Complex(alg, terms, diffs, check=False)
-                if is_zero_in_derived(cand):
+                prof = cohomology_profile(cand)
+                if not prof:
                     continue
-                if not is_indecomposable_complex(cand, cap):
+                # top cohomology in degree zero before the replacement, so
+                # that record reuses the minimal complex of the test
+                top = max(prof)
+                nx = shift(cand, top)
+                if not is_indecomposable_complex(nx, cap):
                     continue
-                record(cand)
-    ordered = sorted(found, key=lambda pair: (pair[0].width(),
-                                              pair[0].total_dim(),
-                                              pair[0].encode()))
-    return [nx for _, nx in ordered]
+                record(nx, {n - top: h for n, h in prof.items()})
+    found.sort(key=lambda entry: (entry[0].width(), entry[0].total_dim(),
+                                  entry[0].encode()))
+    return [nx for _, nx, _ in found]

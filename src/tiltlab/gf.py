@@ -42,35 +42,33 @@ def mulchain(p: int, *mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def inv_scalar(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
-
-
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    r = np.mod(a.copy(), p)
-    m, n = r.shape
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    The elimination runs on Python row lists: nearly every system here is
+    at most a few rows wide, where per-row numpy calls cost more than the
+    arithmetic."""
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return np.mod(a, p), []
+    rows = np.mod(a, p).tolist()
     pivots: list[int] = []
-    row = 0
     for col in range(n):
-        if row >= m:
+        row = len(pivots)
+        if row == m:
             break
-        nz = None
-        for i in range(row, m):
-            if r[i, col] % p:
-                nz = i
-                break
+        nz = next((i for i in range(row, m) if rows[i][col]), None)
         if nz is None:
             continue
-        if nz != row:
-            r[[row, nz]] = r[[nz, row]]
-        r[row] = (r[row] * inv_scalar(r[row, col], p)) % p
+        rows[row], rows[nz] = rows[nz], rows[row]
+        inv = pow(rows[row][col], p - 2, p)
+        piv = rows[row] = [x * inv % p for x in rows[row]]
         for i in range(m):
-            if i != row and r[i, col]:
-                r[i] = (r[i] - r[i, col] * r[row]) % p
+            c = rows[i][col]
+            if c and i != row:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], piv)]
         pivots.append(col)
-        row += 1
-    return r, pivots
+    return np.array(rows, dtype=np.int64), pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
@@ -135,26 +133,17 @@ def quotient_map(sub: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarra
     """Quotient of F_p^n by the column span of `sub`.
 
     Returns (proj, sec): proj is (q, n) with proj @ sub = 0 and
-    proj @ sec = id_q; q = n - rank(sub).
+    proj @ sec = id_q; q = n - rank(sub).  One elimination of [sub | I_n]:
+    sec is the standard vectors at its pivots past sub (the greedy extension
+    of a basis of the span), and proj is the identity block of the rows
+    below rank(sub), since those rows kill sub and send sec to id_q.
     """
-    s = column_space(sub, p) if sub.size else zeros(n, 0)
-    k = s.shape[1]
-    # extend s to a basis of F_p^n by standard vectors
-    basis = s
-    extra: list[int] = []
-    for j in range(n):
-        e = zeros(n, 1)
-        e[j, 0] = 1
-        cand = np.concatenate([basis, e], axis=1)
-        if rank(cand, p) > basis.shape[1]:
-            basis = cand
-            extra.append(j)
-    assert basis.shape[1] == n
-    binv = inverse(basis, p)
-    assert binv is not None
-    proj = binv[k:, :]
-    sec = basis[:, k:]
-    return proj, sec
+    sub = sub if sub.size else zeros(n, 0)
+    c = sub.shape[1]
+    r, pivots = rref(np.concatenate([sub, eye(n)], axis=1), p)
+    k = sum(1 for j in pivots if j < c)
+    sec = eye(n)[:, [j - c for j in pivots[k:]]]
+    return r[k:, c:], sec
 
 
 def all_vectors(n: int, p: int):

@@ -486,15 +486,13 @@ def hom_as_b_module(data: EndomorphismData, x: Module) -> TransportedModule:
     if d == 0:
         mod = rep.zero_module(b)
         return TransportedModule(mod, module_self_bases(mod), [])
-    flat = np.stack([h.total().flatten() for h in hom_basis], axis=1) % p
+    totals = np.stack([h.total() for h in hom_basis])
+    flat = totals.reshape(d, -1).T % p
 
     def rho(i):
-        # path-basis element pi acts by h -> h . psi(pi)
-        cols = []
-        for k in range(d):
-            moved = gf.mul(hom_basis[k].total(), data.psi(i), p)
-            cols.append(gf.solve(flat, moved.flatten().reshape(-1, 1), p)[:, 0])
-        return np.stack(cols, axis=1) % p
+        # path-basis element pi acts by h -> h . psi(pi): one solve for all h
+        moved = (totals @ data.psi(i)).reshape(d, -1).T % p
+        return gf.solve(flat, moved, p)
 
     mod, bases = rep.rep_from_abstract(b, d, rho)
     return TransportedModule(mod, bases, hom_basis)
@@ -507,11 +505,8 @@ def hom_induced_map(data: EndomorphismData, src: TransportedModule,
     if src.module.total_dim == 0 or tgt.module.total_dim == 0:
         return rep.zero_map(src.module, tgt.module)
     tgt_flat = np.stack([h.total().flatten() for h in tgt.extra], axis=1) % p
-    cols = []
-    for h in src.extra:
-        moved = compose(f, h).total().flatten().reshape(-1, 1)
-        cols.append(gf.solve(tgt_flat, moved, p)[:, 0])
-    phi = np.stack(cols, axis=1) % p
+    moved = f.total() @ np.stack([h.total() for h in src.extra])
+    phi = gf.solve(tgt_flat, moved.reshape(len(src.extra), -1).T % p, p)
     return rep.abstract_map_to_module_map(src.module, src.bases,
                                           tgt.module, tgt.bases, phi)
 

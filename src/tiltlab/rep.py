@@ -499,19 +499,15 @@ def split_by_idempotent(m: Module, e: ModuleMap):
     """m = im(e) (+) ker(e) for an idempotent or Fitting power e, with maps."""
     im, im_incl, _ = image(e)
     ker, ker_incl = kernel(e)
-    p = m.p
-    projs = []
-    for sub_incl, other_incl, sub in ((im_incl, ker_incl, im),
-                                      (ker_incl, im_incl, ker)):
-        blocks = {}
-        for v in m.vertex_order:
-            combined = np.concatenate(
-                [sub_incl.blocks[v], other_incl.blocks[v]], axis=1)
-            inv = gf.inverse(combined, p)
-            assert inv is not None, "idempotent split is not a decomposition"
-            blocks[v] = inv[: sub.dims[v], :]
-        projs.append(ModuleMap(m, sub, blocks, check=False))
-    return (im, im_incl, projs[0]), (ker, ker_incl, projs[1])
+    # the rows of [im | ker]^-1 split into the two projections
+    im_blocks, ker_blocks = {}, {}
+    for v in m.vertex_order:
+        inv = gf.inverse(np.concatenate(
+            [im_incl.blocks[v], ker_incl.blocks[v]], axis=1), m.p)
+        assert inv is not None, "idempotent split is not a decomposition"
+        im_blocks[v], ker_blocks[v] = inv[:im.dims[v]], inv[im.dims[v]:]
+    return ((im, im_incl, ModuleMap(m, im, im_blocks, check=False)),
+            (ker, ker_incl, ModuleMap(m, ker, ker_blocks, check=False)))
 
 
 def decompose_with_maps(m: Module, cap: int = END_ENUM_CAP):
@@ -655,12 +651,11 @@ def rep_from_abstract(alg: BoundQuiverAlgebra, space_dim: int, rho):
     space.
     """
     p = alg.p
-    ids = sum((rho(alg.idempotent_index[v]) for v in alg.quiver.vertices),
-              start=gf.zeros(space_dim, space_dim)) % p
+    idems = {v: rho(alg.idempotent_index[v]) for v in alg.quiver.vertices}
+    ids = sum(idems.values(), start=gf.zeros(space_dim, space_dim)) % p
     if not np.array_equal(ids, gf.eye(space_dim)):
         raise ValueError("vertex idempotents do not sum to the identity")
-    bases = {v: gf.column_space(rho(alg.idempotent_index[v]), p)
-             for v in alg.quiver.vertices}
+    bases = {v: gf.column_space(e, p) for v, e in idems.items()}
     dims = {v: bases[v].shape[1] for v in bases}
     act = {}
     for a in alg.quiver.arrows:

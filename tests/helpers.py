@@ -2,6 +2,7 @@
 
 from itertools import permutations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from tiltlab import derived, gf, rep
@@ -101,3 +102,48 @@ def torsion_decompose_by_search(wb, x, i, s):
                 return u, f, cone
     raise SearchExhausted(
         "no torsion decomposition found within the multiplicity cap")
+
+
+def rref_by_rows(a, p):
+    """Reduced row echelon form by numpy row operations, one row at a time:
+    the original gf.rref, kept as an oracle for the list-row kernel."""
+    r = np.mod(a.copy(), p)
+    m, n = r.shape
+    pivots = []
+    row = 0
+    for col in range(n):
+        if row >= m:
+            break
+        nz = None
+        for i in range(row, m):
+            if r[i, col] % p:
+                nz = i
+                break
+        if nz is None:
+            continue
+        if nz != row:
+            r[[row, nz]] = r[[nz, row]]
+        r[row] = (r[row] * pow(int(r[row, col]) % p, p - 2, p)) % p
+        for i in range(m):
+            if i != row and r[i, col]:
+                r[i] = (r[i] - r[i, col] * r[row]) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots
+
+
+def greedy_quotient_map(sub, n, p):
+    """Quotient of F_p^n by the span of sub, extending a basis of the span
+    by standard vectors one rank test at a time: the original
+    gf.quotient_map, kept as an oracle for the one-elimination version."""
+    s = gf.column_space(sub, p) if sub.size else gf.zeros(n, 0)
+    k = s.shape[1]
+    basis = s
+    for j in range(n):
+        e = gf.zeros(n, 1)
+        e[j, 0] = 1
+        cand = np.concatenate([basis, e], axis=1)
+        if gf.rank(cand, p) > basis.shape[1]:
+            basis = cand
+    binv = gf.inverse(basis, p)
+    return binv[k:, :], basis[:, k:]

@@ -3,6 +3,7 @@
 import contextlib
 import io
 from importlib import resources
+from itertools import product
 
 import numpy as np
 import pytest
@@ -333,6 +334,32 @@ def test_running_example_enumeration_scans_few_candidates(monkeypatch):
         assert cli.main(["derived-indec", bundled]) == 0
     # 94 before candidates that visibly split were skipped
     assert len(calls) <= 14
+
+
+def test_running_example_enumeration_replaces_each_candidate_once(
+        monkeypatch):
+    calls = []
+    original = derived.projective_replacement
+
+    def counted(x, *args):
+        calls.append(x)
+        return original(x, *args)
+
+    monkeypatch.setattr(derived, "projective_replacement", counted)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["derived-indec", bundled]) == 0
+    # 28 while record and the deduplication replaced again
+    assert len(calls) == 14
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 3),
+       st.integers(0, 12))
+def test_budget_pruned_picks_follow_the_product_order(sizes, width, budget):
+    want = [pick for pick in product(range(len(sizes)), repeat=width)
+            if sum(sizes[k] for k in pick) <= budget]
+    assert list(derived._picks_within(sizes, width, budget)) == want
 
 
 def test_a4_dim_bound_five_finds_the_dim_bound_four_profiles():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab import gf
+
+from helpers import greedy_quotient_map, rref_by_rows
 
 
 def M(rows):
@@ -94,3 +97,81 @@ def test_exact_arithmetic_large_entries():
     b = gf.mul(a, a, p)
     assert b.dtype == np.int64
     assert (b < p).all() and (b >= 0).all()
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """(p, a): a matrix over F_p with 0-10 rows and columns, entries
+    unreduced and possibly negative, and often of low rank."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(0, 10)) if rows is None else rows
+    n = draw(st.integers(0, 10)) if cols is None else cols
+
+    def block(r, c):
+        return np.array(draw(st.lists(st.integers(-3 * p, 3 * p),
+                                      min_size=r * c, max_size=r * c)),
+                        dtype=np.int64).reshape(r, c)
+
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(m, n)))
+        return p, block(m, r) @ block(r, n)
+    return p, block(m, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(matrices())
+def test_rref_matches_the_row_by_row_oracle(pa):
+    p, a = pa
+    r, pivots = gf.rref(a, p)
+    r_old, pivots_old = rref_by_rows(a, p)
+    assert pivots == pivots_old
+    assert r.shape == r_old.shape and r.dtype == r_old.dtype
+    assert np.array_equal(r, r_old)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(matrices())
+def test_quotient_map_matches_the_greedy_oracle(pa):
+    p, sub = pa
+    n = sub.shape[0]
+    proj, sec = gf.quotient_map(sub, n, p)
+    proj_old, sec_old = greedy_quotient_map(sub, n, p)
+    assert proj.shape == proj_old.shape and np.array_equal(proj, proj_old)
+    assert sec.shape == sec_old.shape and np.array_equal(sec, sec_old)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_multi_column_solve_matches_column_solves(data):
+    p, a = data.draw(matrices())
+    k = data.draw(st.integers(1, 4))
+    _, x = data.draw(matrices(rows=a.shape[1], cols=k))
+    b = a @ x
+    if data.draw(st.booleans()):
+        # a drawn column, consistent or not
+        b[:, data.draw(st.integers(0, k - 1))] = data.draw(
+            matrices(rows=a.shape[0], cols=1))[1][:, 0]
+    cols = [gf.solve(a, b[:, [j]], p) for j in range(k)]
+    both = gf.solve(a, b, p)
+    if any(c is None for c in cols):
+        assert both is None
+    else:
+        assert both is not None
+        assert np.array_equal(both, np.concatenate(cols, axis=1))
+
+
+def test_quotient_map_is_one_elimination(monkeypatch):
+    calls = []
+    original = gf.rref
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return original(a, p)
+
+    monkeypatch.setattr(gf, "rref", counted)
+    counts = []
+    for n in range(1, 9):
+        calls.clear()
+        gf.quotient_map(M([[1] * n]).T, n, 3)
+        counts.append(len(calls))
+    assert counts == [1] * 8

@@ -2,11 +2,12 @@ import functools
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import cli, homology as hl
+from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
 from tiltlab.errors import NotBasic, SearchExhausted
 
@@ -118,6 +119,65 @@ def test_hom_transports_to_expected_b_modules(setup, end_data):
     assert h.module.dim_vector() == (1, 1, 0)  # uniserial 4/5
     h = hl.hom_as_b_module(end_data, simples[2])
     assert h.module.dim_vector() == (0, 0, 1)  # simple 6
+
+
+def _hom_by_columns(data, x):
+    """Hom_A(T, x) over B with one solve per Hom basis element: the
+    per-column transport, kept as an oracle for hl.hom_as_b_module."""
+    p = data.b.p
+    basis = rep.hom_space(data.t, x)
+    flat = np.stack([h.total().flatten() for h in basis], axis=1) % p
+
+    def rho(i):
+        return np.stack(
+            [gf.solve(flat, gf.mul(h.total(), data.psi(i), p).reshape(-1, 1),
+                      p)[:, 0] for h in basis], axis=1)
+
+    return rep.rep_from_abstract(data.b, len(basis), rho)
+
+
+def _induced_by_columns(data, src, tgt, f):
+    """Hom(T, f) with one solve per source basis element."""
+    p = data.b.p
+    flat = np.stack([h.total().flatten() for h in tgt.extra], axis=1) % p
+    phi = np.stack(
+        [gf.solve(flat, rep.compose(f, h).total().reshape(-1, 1), p)[:, 0]
+         for h in src.extra], axis=1)
+    return rep.abstract_map_to_module_map(src.module, src.bases, tgt.module,
+                                          tgt.bases, phi)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_batched_transport_matches_per_column_solves(setup, end_data, data):
+    alg = setup[0]
+    intervals = rep.enumerate_indecomposable_modules(alg, 3)
+
+    def draw_module():
+        picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
+                                   max_size=2))
+        return change_of_basis(data.draw, rep.direct_sum(picks)[0])
+
+    x, y = draw_module(), draw_module()
+    hx, hy = hl.hom_as_b_module(end_data, x), hl.hom_as_b_module(end_data, y)
+    for got, m in ((hx, x), (hy, y)):
+        if not got.extra:
+            continue
+        mod, bases = _hom_by_columns(end_data, m)
+        assert mod.encode() == got.module.encode()
+        assert all(np.array_equal(bases[v], got.bases[v]) for v in bases)
+    if not (hx.extra and hy.extra):
+        return
+    maps = rep.hom_space(x, y)
+    coeffs = data.draw(st.lists(st.integers(0, 1), min_size=len(maps),
+                                max_size=len(maps)))
+    f = rep.zero_map(x, y)
+    for c, g in zip(coeffs, maps):
+        if c:
+            f = f + g
+    got = hl.hom_induced_map(end_data, hx, hy, f)
+    want = _induced_by_columns(end_data, hx, hy, f)
+    assert np.array_equal(got.total(), want.total())
 
 
 def test_ext_transports_to_simple_b_module(setup, end_data):

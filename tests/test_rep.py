@@ -203,6 +203,28 @@ def test_memoized_splits_of_random_interval_sums(a3, data):
     assert [s.dim_vector() for s, _, _ in rep.decompose_with_maps(copy)] == dims
 
 
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_split_by_idempotent_maps_are_a_decomposition(a3, data):
+    intervals = rep.enumerate_indecomposable_modules(a3, 3)
+    picks = data.draw(st.lists(st.sampled_from(intervals), min_size=2,
+                               max_size=3))
+    m = change_of_basis(data.draw, rep.direct_sum(picks)[0])
+    e = rep._splitting_map(m, rep.END_ENUM_CAP)
+    parts = rep.split_by_idempotent(m, e)
+    for i, (sub_i, inc_i, _) in enumerate(parts):
+        for j, (_, _, proj_j) in enumerate(parts):
+            got = rep.compose(proj_j, inc_i)
+            if i == j:
+                assert np.array_equal(got.total(),
+                                      rep.identity_map(sub_i).total())
+            else:
+                assert got.is_zero()
+    (_, inc_im, proj_im), (_, inc_ker, proj_ker) = parts
+    total = rep.compose(inc_im, proj_im) + rep.compose(inc_ker, proj_ker)
+    assert np.array_equal(total.total(), rep.identity_map(m).total())
+
+
 def test_decompose_multiplicities(a3, projs):
     m, _, _ = rep.direct_sum([projs[1], projs[1], projs[3]])
     parts = rep.decompose(m)
