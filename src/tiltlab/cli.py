@@ -274,10 +274,10 @@ def cmd_check_tilting(ws, args):
     ctx = _context(ws, args)
     cert = ctx.certificate
     res = [[list(s.dim_vector()) for s, m in
-            rep.decompose(term, args.search_cap) for _ in range(m)]
+            rep.decompose(term) for _ in range(m)]
            for term in cert.resolution_terms]
     cores = [[list(s.dim_vector()) for s, m in
-              rep.decompose(term, args.search_cap) for _ in range(m)]
+              rep.decompose(term) for _ in range(m)]
              for term in cert.coresolution_terms]
     lines = [f"tilting: yes (n = {cert.n})"]
     lines.append("projective resolution terms (summand dimension vectors):")
@@ -360,7 +360,7 @@ def cmd_bside(ws, args):
     arrows = sorted((a.name, a.source, a.target) for a in b.quiver.arrows)
     tb = t_as_right_module(ctx.data)
     summands = sorted(list(s.dim_vector())
-                      for s, mult in rep.decompose(tb, args.search_cap)
+                      for s, mult in rep.decompose(tb)
                       for _ in range(mult))
     lines = [f"End(T) quiver: vertices {b.quiver.vertices}"]
     for name, s, t in arrows:

@@ -9,8 +9,7 @@ from itertools import product
 import numpy as np
 
 from . import gf, rep
-from .errors import (InfiniteGlobalDimension, InternalInconsistency,
-                     SearchExhausted)
+from .errors import InfiniteGlobalDimension, SearchExhausted
 from .homology import (coords_in_basis, global_dimension, homology_at,
                        projective_cover)
 from .rep import Module, ModuleMap, compose
@@ -411,19 +410,22 @@ def is_quasi_iso(f: ChainMap) -> bool:
     return is_zero_in_derived(cone(f))
 
 
-def is_derived_isomorphic(x: Complex, y: Complex,
-                          cap: int = rep.END_ENUM_CAP) -> bool:
+def is_derived_isomorphic(x: Complex, y: Complex) -> bool:
+    """Whether the Krull-Schmidt summands of x and y in D^b match."""
     hx = cohomology_profile(x)
     if hx != cohomology_profile(y):
         return False
-    return not hx or _has_quasi_iso(projective_replacement(x)[0], y, cap)
+    return not hx or rep.match_summands(
+        decompose_complex(x), decompose_complex(y), _minimal_iso) is not None
 
 
-def _has_quasi_iso(px: Complex, y: Complex, cap: int) -> bool:
-    """Whether some map from the complex of projectives px to y is a
-    quasi-isomorphism; Hom(px, y) up to homotopy is Hom in D^b."""
-    return any(is_quasi_iso(f) for f in rep.all_maps(
-        hom_homotopy(px, y), px.p, skip_zero=True, cap=cap))
+def _minimal_iso(x: Complex, y: Complex):
+    """A chain isomorphism between indecomposable minimal complexes of
+    projectives, or None: some basis class of Hom up to homotopy is a
+    homotopy equivalence if x = y (as in rep.iso_of_indecomposables), and a
+    homotopy equivalence of minimal complexes is an isomorphism."""
+    return next((f for f in hom_homotopy(x, y)
+                 if gf.is_invertible(f.total(), x.p)), None)
 
 
 # -- minimization and decomposition ---------------------------------------------
@@ -444,13 +446,13 @@ def _complement_maps(parts, skip_index, ambient):
     return comp, inc_total, proj_total
 
 
-def _eliminate_once(x: Complex, cap: int):
+def _eliminate_once(x: Complex):
     for n in sorted(x.diffs):
         d = x.diffs[n]
         if d.is_zero():
             continue
-        sparts = rep.decompose_with_maps(x.terms[n], cap)
-        tparts = rep.decompose_with_maps(x.terms[n + 1], cap)
+        sparts = rep.decompose_with_maps(x.terms[n])
+        tparts = rep.decompose_with_maps(x.terms[n + 1])
         for i, (s, si, sp) in enumerate(sparts):
             for j, (t, ti, tp) in enumerate(tparts):
                 alpha = compose(tp, compose(d, si))
@@ -487,81 +489,61 @@ def _eliminate_once(x: Complex, cap: int):
     return x, False
 
 
-def minimize_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> Complex:
+def minimize_complex(x: Complex) -> Complex:
     """Cancel invertible differential components until none remain."""
     cur = x
     while True:
-        cur, changed = _eliminate_once(cur, cap)
+        cur, changed = _eliminate_once(cur)
         if not changed:
             return cur
 
 
-def minimal_replacement(x: Complex, cap: int = rep.END_ENUM_CAP) -> Complex:
+def minimal_replacement(x: Complex) -> Complex:
     """The minimized projective replacement of x, computed once per encoding
-    of x and cap; shared, so never mutate it."""
+    of x; shared, so never mutate it."""
     return x.algebra.memo(
-        ("minimal", x.encode(), cap),
-        lambda: minimize_complex(projective_replacement(x)[0], cap))
+        ("minimal", x.encode()),
+        lambda: minimize_complex(projective_replacement(x)[0]))
 
 
 def _split_by_chain_idempotent(x: Complex, e: ChainMap):
-    out = []
-    for maps_of in ("image", "kernel"):
-        terms, diffs = {}, {}
-        incls = {}
-        for n in x.support:
-            f = e.map_at(n)
-            if maps_of == "image":
-                sub, incl, _ = rep.image(f)
-            else:
-                sub, incl = rep.kernel(f)
-            if sub.total_dim:
-                terms[n] = sub
-                incls[n] = incl
-        for n in list(terms):
-            if n + 1 not in terms:
-                continue
-            moved = compose(x.diff(n), incls[n])
-            blocks = {}
-            for v in moved.source.vertex_order:
-                blocks[v] = gf.solve(incls[n + 1].blocks[v], moved.blocks[v],
-                                     x.p)
-                if blocks[v] is None:
-                    raise InternalInconsistency(
-                        "idempotent image is not a subcomplex")
-            diffs[n] = ModuleMap(terms[n], terms[n + 1], blocks, check=False)
-        out.append(Complex(x.algebra, terms, diffs, check=True))
-    return out
+    """x = im e (+) ker e for an idempotent or Fitting power e, split
+    degreewise by rep.split_by_idempotent; both are subcomplexes."""
+    parts = {n: rep.split_by_idempotent(x.terms[n], e.map_at(n))
+             for n in x.support}
+    return [Complex(x.algebra, {n: part[k][0] for n, part in parts.items()},
+                    {n: compose(parts[n + 1][k][2],
+                                compose(x.diff(n), parts[n][k][1]))
+                     for n in x.support if n + 1 in parts}, check=True)
+            for k in (0, 1)]
 
 
-def decompose_complex(x: Complex, cap: int = rep.END_ENUM_CAP):
-    """Indecomposable summands of x in the derived category.
+def decompose_complex(x: Complex):
+    """Indecomposable summands of x in D^b, as minimal projective complexes.
 
     Works on a minimized projective replacement, where homotopy
-    equivalences are chain isomorphisms, so strict idempotents suffice.
+    equivalences are chain isomorphisms, so strict chain maps suffice.
     """
-    return _decompose_minimal(minimal_replacement(x, cap), cap)
+    return _decompose_minimal(minimal_replacement(x))
 
 
-def _decompose_minimal(x: Complex, cap: int):
+def _decompose_minimal(x: Complex):
     if x.is_zero_complex():
         return []
-    e = rep.find_idempotent(chain_maps(x, x), identity_chain(x).total(),
-                            x.p, cap)
+    e = rep.splitting_map(chain_maps(x, x), x.p)
     if e is None:
         return [x]
     return [part for piece in _split_by_chain_idempotent(x, e)
-            for part in _decompose_minimal(piece, cap)]
+            for part in _decompose_minimal(piece)]
 
 
-def is_indecomposable_complex(x: Complex, cap: int = rep.END_ENUM_CAP) -> bool:
-    """Decided on the minimized projective replacement, which is
-    indecomposable exactly when it has no idempotent besides 0 and 1."""
+def is_indecomposable_complex(x: Complex) -> bool:
+    """Whether the chain endomorphisms of the minimal replacement are local."""
     if is_zero_in_derived(x):
         return False
-    mx = minimal_replacement(x, cap)
-    return rep.find_idempotent(chain_maps(mx, mx), identity_chain(mx).total(),
-                               x.p, cap) is None
+    mx = minimal_replacement(x)
+    return gf.local_ring([f.total() for f in chain_maps(mx, mx)],
+                         x.p)[0] is None
 
 
 def direct_sum_complexes(xs: list[Complex]):
@@ -708,8 +690,8 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     def record(nx: Complex, prof: dict):
         # the minimal complex of projectives is K-projective, so it maps to
         # every other found object without a further replacement
-        mnx = minimal_replacement(nx, cap)
-        if not any(prof == oprof and _has_quasi_iso(mnx, other, cap)
+        mnx = minimal_replacement(nx)
+        if not any(prof == oprof and _minimal_iso(mnx, other) is not None
                    for other, _, oprof in found):
             found.append((mnx, nx, prof))
 
@@ -778,7 +760,7 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                 # that record reuses the minimal complex of the test
                 top = max(prof)
                 nx = shift(cand, top)
-                if not is_indecomposable_complex(nx, cap):
+                if not is_indecomposable_complex(nx):
                     continue
                 record(nx, {n - top: h for n, h in prof.items()})
     found.sort(key=lambda entry: (entry[0].width(), entry[0].total_dim(),

@@ -35,6 +35,10 @@ class SearchExhausted(TiltlabError):
     pass
 
 
+class LocalityUndecided(TiltlabError):
+    pass
+
+
 # homology
 class NotBasic(TiltlabError):
     def __init__(self, message, multiplicities=None):

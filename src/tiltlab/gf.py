@@ -7,9 +7,11 @@ exact; no floating point anywhere.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
+
+from .errors import LocalityUndecided
 
 
 def zeros(m: int, n: int) -> np.ndarray:
@@ -150,3 +152,119 @@ def all_vectors(n: int, p: int):
     """Iterate over all vectors of F_p^n as (n,) arrays."""
     for coeffs in product(range(p), repeat=n):
         yield np.array(coeffs, dtype=np.int64)
+
+
+# -- local rings --------------------------------------------------------------
+
+def power(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = eye(a.shape[0])
+    for bit in bin(e)[2:]:
+        out = mul(out, out, p)
+        if bit == "1":
+            out = mul(out, a, p)
+    return out
+
+
+def stack_flat(mats: list, n: int) -> np.ndarray:
+    """The n x n matrices mats, flattened, as the columns of one matrix."""
+    return (np.stack([m.flatten() for m in mats], axis=1) if mats
+            else zeros(n * n, 0))
+
+
+def _basis(mats: list, n: int, p: int) -> list:
+    """Echelon basis of the span of some n x n matrices."""
+    span = column_space(stack_flat(mats, n), p)
+    return [span[:, j].reshape(n, n) for j in range(span.shape[1])]
+
+
+def nilpotency_index(xs: list, n: int, p: int) -> int | None:
+    """Least N with span(xs)^N = 0, or None if its powers stop shrinking."""
+    level, index = _basis(xs, n, p), 1
+    while level:
+        nxt = _basis([mul(x, y, p) for x in level for y in xs], n, p)
+        if len(nxt) == len(level):
+            return None
+        level, index = nxt, index + 1
+    return index
+
+
+def _split_element(b: np.ndarray, p: int, d: int):
+    """(b - lam)^n for the first root lam in F_p of the minimal polynomial
+    mu of b (of degree at most d), when neither 0 nor invertible; with no
+    root, a split lifted from Berlekamp's fixed space of F_p[b], which needs
+    deg mu > 3 (mu is irreducible otherwise); else None."""
+    n = b.shape[0]
+    powers = [eye(n)]
+    while len(powers) <= min(d, n):
+        powers.append(mul(powers[-1], b, p))
+    mu = nullspace(stack_flat(powers, n), p)[:, 0]
+    lam = next((c for c in range(p) if sum(
+        int(x) * c ** i for i, x in enumerate(mu)) % p == 0), None)
+    deg = np.flatnonzero(mu)[-1]
+    if lam is None:
+        return _split_quotient(powers[:deg], [], p)[0] if deg > 3 else None
+    f = power((b - lam * eye(n)) % p, n, p)
+    return f if f.any() else None
+
+
+def _first_split(xs, p: int, d: int):
+    return next((e for e in (_split_element(x, p, d) for x in xs
+                             if (x - x[0, 0] * eye(len(x))).any())
+                 if e is not None), None)
+
+
+def _split_quotient(mats: list, sub: list, p: int):
+    """(e, frob, lift) for the commutative quotient R of the algebra
+    span(mats) by its ideal span(sub): frob is the linear map x -> x^p on R,
+    lift takes coordinates in R to matrices, and e splits when R is not
+    local: then frob fixes some x off the scalars, and x^p = x gives the
+    minimal polynomial of a lift of x two roots in F_p."""
+    n, flat = mats[0].shape[0], stack_flat(mats, mats[0].shape[0])
+    proj, sec = quotient_map(solve(flat, stack_flat(sub, n), p), len(mats), p)
+    k, stacked = proj.shape[0], np.stack(mats)
+
+    def lift(v):
+        return np.tensordot(sec @ v % p, stacked, axes=1) % p
+
+    images = [power(lift(v), p, p) for v in eye(k)] + [eye(n)]
+    q = proj @ solve(flat, stack_flat(images, n), p) % p
+    for v in nullspace((q[:, :k] - eye(k)) % p, p).T:
+        if rank(np.stack([v, q[:, k]], axis=1), p) == 2:
+            return _split_element(lift(v), p, len(mats)), q[:, :k], lift
+    return None, q[:, :k], lift
+
+
+def local_ring(mats: list, p: int):
+    """Split, or certify local, the algebra E spanned by mats: n x n
+    matrices closed under products, with 1 in their span.
+
+    Returns (e, None, 0) with e in E and F_p^n = im e (+) ker e, both
+    nonzero, or (None, rad, k) with rad an echelon basis of rad E and
+    E / rad E = F_{p^k}.  Past the basis elements, let C be the ideal
+    generated by the commutators and I the preimage of the nilpotents of
+    E/C: E is local exactly when I is nilpotent and the Frobenius of E/C
+    fixes only the scalars, and then rad E = I (Berlekamp, Bell Syst. Tech.
+    J. 46, 1967; Ronyai, J. Symb. Comput. 9, 1990)."""
+    n, d = mats[0].shape[0], len(mats)
+    if d == 1:
+        return None, [], 1
+    e = _first_split(mats[::-1], p, d)
+    if e is None:
+        comm, grown = None, _basis([mul(a, b, p) - mul(b, a, p) for i, a in
+                                    enumerate(mats) for b in mats[:i]], n, p)
+        while comm is None or len(grown) > len(comm):
+            comm = grown
+            grown = _basis(comm + [mul(a, x, p) for a in mats for x in comm]
+                           + [mul(x, a, p) for a in mats for x in comm], n, p)
+        e, frob, lift = _split_quotient(mats, comm, p)
+    if e is None:
+        nil = nullspace(power(frob, len(frob), p), p).T
+        rad = _basis(comm + [lift(v) for v in nil], n, p)
+        if nilpotency_index(rad, n, p) is not None:
+            return None, rad, d - len(rad)
+        e = _first_split(chain(rad, (mul(x, y, p) for x in rad for y in rad)),
+                         p, d)
+    if e is None:
+        raise LocalityUndecided(f"algebra of dimension {d} in M_{n}(F_{p}): "
+                                "radical candidate not nilpotent, no split")
+    return e, None, 0

@@ -12,7 +12,7 @@ import numpy as np
 from . import gf, rep
 from .algebra import (BoundQuiverAlgebra, Path, build_algebra, make_quiver)
 from .errors import (InfiniteGlobalDimension, InternalInconsistency,
-                     ModeUnsupported, NotBasic, SearchExhausted)
+                     ModeUnsupported, NotBasic)
 from .rep import Module, ModuleMap, compose
 
 RESOLUTION_CAP = 32
@@ -286,39 +286,16 @@ def _arrow_product(arrows: tuple, arrow_matrices: dict, p: int) -> np.ndarray:
     return out
 
 
-def _local_radical(endos: list[ModuleMap], m: Module,
-                   cap: int = rep.END_ENUM_CAP) -> list[np.ndarray]:
-    """Total matrices spanning the radical of a local endomorphism ring."""
-    p = m.p
-    if p ** len(endos) > cap:
-        raise SearchExhausted(
-            f"homology: End of the module with dimension vector "
-            f"{m.dim_vector()}: {p}^{len(endos)} exceeds cap {cap}")
-    nilpotents = []
-    for f in rep.all_maps(endos, p, skip_zero=True, cap=cap):
-        t = f.total()
-        power = t
-        for _ in range(m.total_dim):
-            power = gf.mul(power, t, p)
-        if not power.any():
-            nilpotents.append(t.flatten())
-    if not nilpotents:
-        return []
-    span = gf.column_space(np.stack(nilpotents, axis=1), p)
-    n = m.total_dim
-    return [span[:, k].reshape(n, n) for k in range(span.shape[1])]
-
-
-def endomorphism_algebra(t: Module, label_base: int | None = None,
-                         cap: int = rep.END_ENUM_CAP) -> EndomorphismData:
+def endomorphism_algebra(t: Module,
+                         label_base: int | None = None) -> EndomorphismData:
     """Present End(t) of a basic module as a bound quiver algebra."""
     alg = t.algebra
     p = alg.p
-    parts = rep.decompose_with_maps(t, cap)
+    parts = rep.decompose_with_maps(t)
     parts.sort(key=lambda x: x[0].encode())
     for i, (si, _, _) in enumerate(parts):
         for j in range(i + 1, len(parts)):
-            if rep.is_isomorphic(si, parts[j][0], cap) is not None:
+            if rep.iso_of_indecomposables(si, parts[j][0]) is not None:
                 raise NotBasic("module has repeated indecomposable summands",
                                multiplicities=[s.dim_vector()
                                                for s, _, _ in parts])
@@ -331,11 +308,11 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
     for i, (si, inci, proji) in enumerate(parts):
         for j, (sj, incj, projj) in enumerate(parts):
             if i == j:
-                endos = rep.hom_space(si, si)
-                local = _local_radical(endos, si, cap)
+                _, local, k = gf.local_ring(
+                    [f.total() for f in rep.hom_space(si, si)], p)
                 rad[(i, j)] = [gf.mulchain(p, inci.total(), m, proji.total())
                                for m in local]
-                if len(endos) - len(local) != 1:
+                if k != 1:
                     raise ModeUnsupported(
                         "endomorphism ring has a non-prime residue field")
             else:
@@ -343,21 +320,10 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
                                            projj.total())
                                for f in rep.hom_space(sj, si)]
     rad_all = [m for v in rad.values() for m in v]
-    rad2 = {}
-    for i in range(n):
-        for j in range(n):
-            prods = []
-            for (a, b), mats in rad.items():
-                if a != i:
-                    continue
-                for m1 in mats:
-                    for (c, d), mats2 in rad.items():
-                        if c != b or d != j:
-                            continue
-                        for m2 in mats2:
-                            prods.append(gf.mul(m1, m2, p).flatten())
-            rad2[(i, j)] = (gf.column_space(np.stack(prods, axis=1), p)
-                            if prods else gf.zeros(dim_t * dim_t, 0))
+    rad2 = {(i, j): gf.column_space(gf.stack_flat(
+        [gf.mul(m1, m2, p) for b in range(n) for m1 in rad[(i, b)]
+         for m2 in rad[(b, j)]], dim_t), p)
+        for i in range(n) for j in range(n)}
 
     # arrows: basis of rad/rad^2, componentwise
     arrow_reps = {}  # (i, j) -> list of total matrices
@@ -402,25 +368,9 @@ def endomorphism_algebra(t: Module, label_base: int | None = None,
                 arrow_matrices[name] = m
     qb = make_quiver(sorted(label_of.values()), arrow_list)
 
-    # radical nilpotency degree
-    level = [m.flatten() for m in rad_all]
-    nilp = 1
-    while level:
-        nxt = []
-        for f1 in level:
-            m1 = f1.reshape(dim_t, dim_t)
-            for m2 in rad_all:
-                prod = gf.mul(m1, m2, p).flatten()
-                if prod.any():
-                    nxt.append(prod)
-        if nxt:
-            span = gf.column_space(np.stack(nxt, axis=1), p)
-            level = [span[:, k] for k in range(span.shape[1])]
-        else:
-            level = []
-        nilp += 1
-        if nilp > dim_t + 1:
-            raise InternalInconsistency("radical fails to be nilpotent")
+    nilp = gf.nilpotency_index(rad_all, dim_t, p)
+    if nilp is None:
+        raise InternalInconsistency("radical fails to be nilpotent")
 
     # relations: kernel of the evaluation on paths of length 1..nilp
     paths_by_pair = {}

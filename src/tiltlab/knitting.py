@@ -66,8 +66,7 @@ def tau_inverse(m: Module) -> Module:
     return rep.cokernel(ModuleMap(src, tgt, blocks))[0]
 
 
-def knit_indecomposables(alg: BoundQuiverAlgebra, dim_bound: int,
-                         cap: int = rep.END_ENUM_CAP):
+def knit_indecomposables(alg: BoundQuiverAlgebra, dim_bound: int):
     """Every indecomposable A-module, knitted from the projectives, or None
     when the knitting does not close within dim_bound.
 
@@ -85,7 +84,8 @@ def knit_indecomposables(alg: BoundQuiverAlgebra, dim_bound: int,
     knitted = []
 
     def known(m):
-        return any(rep.is_isomorphic(m, k, cap) is not None for k in knitted)
+        return any(rep.iso_of_indecomposables(m, k) is not None
+                   for k in knitted)
 
     for v in alg.quiver.vertices:
         m = rep.projective(alg, v)
@@ -96,7 +96,7 @@ def knit_indecomposables(alg: BoundQuiverAlgebra, dim_bound: int,
             m = tau_inverse(m)
     for v in alg.quiver.vertices:
         rad, _ = rep.radical_submodule(rep.projective(alg, v))
-        if not all(known(s) for s, _, _ in rep.decompose_with_maps(rad, cap)):
+        if not all(known(s) for s, _, _ in rep.decompose_with_maps(rad)):
             return None
     return sorted(knitted, key=lambda m: (m.total_dim, m.encode()))
 

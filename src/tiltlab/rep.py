@@ -447,52 +447,52 @@ def trace_submodule(generators: list[Module], x: Module) -> dict:
 
 # -- isomorphism and decomposition -------------------------------------------
 
-def is_isomorphic(m: Module, n: Module, cap: int = END_ENUM_CAP):
-    """Returns an invertible ModuleMap witness, or None."""
+def is_isomorphic(m: Module, n: Module):
+    """Returns an invertible ModuleMap witness, or None: the sum of the
+    isomorphisms between Krull-Schmidt summands that match_summands pairs."""
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("modules over different algebras")
     if m.dim_vector() != n.dim_vector():
         return None
-    if m.total_dim == 0:
-        return zero_map(m, n)
-    homs = hom_space(m, n)
-    if len(homs) == 0:
+    ms, ns = decompose_with_maps(m), decompose_with_maps(n)
+    pairs = match_summands([s for s, _, _ in ms], [s for s, _, _ in ns],
+                           iso_of_indecomposables)
+    return None if pairs is None else sum(
+        (compose(ns[j][1], compose(f, ms[i][2])) for i, j, f in pairs),
+        zero_map(m, n))
+
+
+def iso_of_indecomposables(m: Module, n: Module):
+    """An isomorphism between indecomposable modules, or None.  If m = n,
+    the non-isomorphisms in Hom(m, n) are rad End(m) moved by one
+    isomorphism, a proper subspace, so some basis element is one."""
+    if m.dim_vector() != n.dim_vector():
         return None
-    for f in all_maps(homs, m.p, skip_zero=True, cap=cap):
-        if f.is_iso():
-            return f
-    return None
+    return next((f for f in hom_space(m, n) if f.is_iso()), None)
 
 
-def find_idempotent(endos: list, ident: np.ndarray, p: int, cap: int):
-    """The first idempotent other than 0 and `ident` in the span of `endos`
-    (module or chain maps, compared by .total()) in all_maps' order, or None."""
-    for f in all_maps(endos, p, skip_zero=True, cap=cap):
-        t = f.total()
-        if not np.array_equal(t, ident) and np.array_equal(gf.mul(t, t, p), t):
-            return f
-    return None
+def match_summands(xs: list, ys: list, iso):
+    """[(i, j, iso(xs[i], ys[j]))] pairing indecomposables (modules or
+    complexes) one to one, or None when their multisets differ."""
+    left, out = dict(enumerate(ys)), []
+    for i, x in enumerate(xs):
+        match = next(((j, w) for j, y in left.items()
+                      if (w := iso(x, y)) is not None), None)
+        if match is None:
+            return None
+        out.append((i, *match))
+        del left[match[0]]
+    return None if left else out
 
 
-def _splitting_map(m: Module, cap: int):
-    """e with m = im e (+) ker e, both nonzero, or None if m is indecomposable.
-
-    Scans End(m) when p^dim End(m) <= cap.  Past the cap only a Fitting power
-    f^(N+1), N = dim m, of a basis element f that is neither 0 nor invertible
-    is a certificate; finding none proves nothing, so SearchExhausted."""
-    endos = hom_space(m, m)
-    if m.p ** len(endos) <= cap:
-        return find_idempotent(endos, identity_map(m).total(), m.p, cap)
-    for f in endos:
-        power = f
-        for _ in range(m.total_dim):
-            power = compose(power, f)
-        t = power.total()
-        if t.any() and not gf.is_invertible(t, m.p):
-            return power
-    raise SearchExhausted(
-        f"End of a module of dimension {m.total_dim}: {m.p}^{len(endos)} "
-        f"exceeds cap {cap} and no Fitting power of a basis element splits it")
+def splitting_map(endos: list, p: int):
+    """e in the span of endos, a basis of End of a module or complex, with
+    im e (+) ker e the object and both nonzero, or None when the object is
+    indecomposable (gf.local_ring)."""
+    totals = [f.total() for f in endos]
+    e = gf.local_ring(totals, p)[0]
+    return None if e is None else map_from_coeffs(endos, gf.solve(
+        gf.stack_flat(totals, len(e)), e.flatten(), p)[:, 0])
 
 
 def split_by_idempotent(m: Module, e: ModuleMap):
@@ -510,35 +510,35 @@ def split_by_idempotent(m: Module, e: ModuleMap):
             (ker, ker_incl, ModuleMap(m, ker, ker_blocks, check=False)))
 
 
-def decompose_with_maps(m: Module, cap: int = END_ENUM_CAP):
+def decompose_with_maps(m: Module):
     """List of (indecomposable summand, inclusion, projection), computed once
-    per encoding of m and cap; every call returns a new list."""
-    return list(m.algebra.memo(("summands", m.encode(), cap),
-                               lambda: _decompose_with_maps(m, cap)))
+    per encoding of m; every call returns a new list."""
+    return list(m.algebra.memo(("summands", m.encode()),
+                               lambda: _decompose_with_maps(m)))
 
 
-def _decompose_with_maps(m: Module, cap: int):
+def _decompose_with_maps(m: Module):
     if m.total_dim == 0:
         return []
-    e = _splitting_map(m, cap)
+    e = splitting_map(hom_space(m, m), m.p)
     if e is None:
         return [(m, identity_map(m), identity_map(m))]
     (im, i1, p1), (ker, i2, p2) = split_by_idempotent(m, e)
     out = []
     for sub, inc, proj in ((im, i1, p1), (ker, i2, p2)):
-        for s, si, sp in decompose_with_maps(sub, cap):
+        for s, si, sp in decompose_with_maps(sub):
             out.append((s, compose(inc, si), compose(sp, proj)))
     return out
 
 
-def decompose(m: Module, cap: int = END_ENUM_CAP):
+def decompose(m: Module):
     """Krull-Schmidt decomposition as [(summand, multiplicity)], canonical order."""
-    parts = [s for s, _, _ in decompose_with_maps(m, cap)]
+    parts = [s for s, _, _ in decompose_with_maps(m)]
     parts.sort(key=lambda s: s.encode())
     out = []
     for s in parts:
         for i, (t, mult) in enumerate(out):
-            if is_isomorphic(s, t, cap) is not None:
+            if iso_of_indecomposables(s, t) is not None:
                 out[i] = (t, mult + 1)
                 break
         else:
@@ -546,8 +546,9 @@ def decompose(m: Module, cap: int = END_ENUM_CAP):
     return out
 
 
-def is_indecomposable(m: Module, cap: int = END_ENUM_CAP) -> bool:
-    return m.total_dim > 0 and _splitting_map(m, cap) is None
+def is_indecomposable(m: Module) -> bool:
+    return m.total_dim > 0 and gf.local_ring(
+        [f.total() for f in hom_space(m, m)], m.p)[0] is None
 
 
 def _dim_vectors(nvert: int, total: int):
@@ -592,7 +593,7 @@ def _indecomposables(alg: BoundQuiverAlgebra, dim_bound: int, cap: int):
     """(knitted, modules): whether the knitting closed, and the modules."""
     def compute():
         from .knitting import knit_indecomposables
-        knitted = knit_indecomposables(alg, dim_bound, cap)
+        knitted = knit_indecomposables(alg, dim_bound)
         if knitted is not None:
             return True, tuple(knitted)
         return False, tuple(scan_indecomposable_modules(alg, dim_bound, cap))
@@ -629,9 +630,9 @@ def scan_indecomposable_modules(alg: BoundQuiverAlgebra, dim_bound: int,
                     m = Module(alg, dims, action, check=True)
                 except RelationViolated:
                     continue
-                if not is_indecomposable(m, node_cap):
+                if not is_indecomposable(m):
                     continue
-                if any(is_isomorphic(m, other, node_cap) is not None
+                if any(iso_of_indecomposables(m, other) is not None
                        for other in bucket):
                     continue
                 bucket.append(m)

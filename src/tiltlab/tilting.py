@@ -40,19 +40,14 @@ class Filtration:
     witnesses: list = field(default_factory=list)
 
 
-def in_add(t: Module, m: Module, cap: int = rep.END_ENUM_CAP) -> bool:
+def in_add(t: Module, m: Module) -> bool:
     """Is m a direct sum of direct summands of t?"""
-    if m.total_dim == 0:
-        return True
-    t_parts = [s for s, _ in rep.decompose(t, cap)]
-    for s, _ in rep.decompose(m, cap):
-        if not any(rep.is_isomorphic(s, u, cap) is not None for u in t_parts):
-            return False
-    return True
+    t_parts = [s for s, _ in rep.decompose(t)]
+    return all(any(rep.iso_of_indecomposables(s, u) is not None
+                   for u in t_parts) for s, _ in rep.decompose(m))
 
 
-def universal_map_into_add(k: Module, t: Module,
-                           cap: int = rep.END_ENUM_CAP):
+def universal_map_into_add(k: Module, t: Module):
     """The evaluation map K -> (+)_j S_j^{dim Hom(K, S_j)} over the distinct
     indecomposable summands S_j of t.
 
@@ -60,7 +55,7 @@ def universal_map_into_add(k: Module, t: Module,
     copies, so iterated cokernels stay small.
     """
     pieces = []   # (summand, hom element)
-    for s, _mult in rep.decompose(t, cap):
+    for s, _mult in rep.decompose(t):
         for h in rep.hom_space(k, s):
             pieces.append((s, h))
     if not pieces:
@@ -73,8 +68,7 @@ def universal_map_into_add(k: Module, t: Module,
     return u, target
 
 
-def check_classical_tilting(t: Module, n: int,
-                            cap: int = rep.END_ENUM_CAP) -> TiltingCertificate:
+def check_classical_tilting(t: Module, n: int) -> TiltingCertificate:
     """Verify the three n-tilting axioms, or raise NotTilting."""
     if n < 0:
         raise ValueError("tilting degree must be nonnegative")
@@ -91,7 +85,7 @@ def check_classical_tilting(t: Module, n: int,
     k = rep.regular_module(t.algebra)
     resolved = False
     for _step in range(n + 1):
-        if in_add(t, k, cap):
+        if in_add(t, k):
             cores_terms.append(k)
             resolved = True
             break
@@ -160,8 +154,8 @@ class TiltingContext:
         self.cap = cap
         self.slack = slack
         self.dim_bound = dim_bound
-        self.certificate = check_classical_tilting(t, n, cap)
-        self.data = endomorphism_algebra(t, cap=cap)
+        self.certificate = check_classical_tilting(t, n)
+        self.data = endomorphism_algebra(t)
         self._indecs = None
         self._rep_finite = None
         self._ext_rows = {}
@@ -272,7 +266,7 @@ def static_filtration(ctx: TiltingContext, m: Module) -> Filtration:
     for i, f in enumerate(chain.factors):
         expected = tor_over_b(ctx.data, ext_as_b_module(ctx.data, m, i), i)
         if f.total_dim != expected.total_dim or (
-                f.total_dim and rep.is_isomorphic(f, expected, ctx.cap) is None):
+                f.total_dim and rep.is_isomorphic(f, expected) is None):
             raise InternalInconsistency(
                 f"static factor {i} does not match Tor_{i}(T, Ext^{i}(T,M))")
     return Filtration(m, chain.inclusions, chain.factors,
@@ -388,11 +382,11 @@ def _base_class_witness(ctx: TiltingContext, f: Module, kind: int):
             else:
                 u_mod, v_mod = other, extra     # ker(U ->> V) = f
             if u_mod.total_dim == 0 and kind == 0:
-                if rep.is_isomorphic(v_mod, f, ctx.cap) is not None:
+                if rep.is_isomorphic(v_mod, f) is not None:
                     return (u_mod, v_mod, None)
                 continue
             if v_mod.total_dim == 0 and kind == 2:
-                if rep.is_isomorphic(u_mod, f, ctx.cap) is not None:
+                if rep.is_isomorphic(u_mod, f) is not None:
                     return (u_mod, v_mod, None)
                 continue
             homs = rep.hom_space(u_mod, v_mod)
@@ -406,13 +400,13 @@ def _base_class_witness(ctx: TiltingContext, f: Module, kind: int):
                         if not g.is_mono():
                             continue
                         cok, _ = rep.cokernel(g)
-                        if rep.is_isomorphic(cok, f, ctx.cap) is not None:
+                        if rep.is_isomorphic(cok, f) is not None:
                             return (u_mod, v_mod, g)
                     else:
                         if not g.is_epi():
                             continue
                         ker, _ = rep.kernel(g)
-                        if rep.is_isomorphic(ker, f, ctx.cap) is not None:
+                        if rep.is_isomorphic(ker, f) is not None:
                             return (u_mod, v_mod, g)
             except rep.SearchExhausted:
                 continue

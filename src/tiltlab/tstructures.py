@@ -245,18 +245,9 @@ class DerivedWorkbench:
 
     def in_additive_closure(self, x: Complex, keys, extra_shift: int) -> bool:
         """Does x decompose into summands from {member(k)[extra_shift]}?"""
-        if is_zero_in_derived(x):
-            return True
-        try:
-            parts = derived.decompose_complex(x, self.cap)
-        except SearchExhausted:
-            return False
-        for piece in parts:
-            if not any(is_derived_isomorphic(
-                    piece, shift(self.member(k), extra_shift), self.cap)
-                    for k in keys):
-                return False
-        return True
+        return is_zero_in_derived(x) or all(any(
+            is_derived_isomorphic(piece, shift(self.member(k), extra_shift))
+            for k in keys) for piece in derived.decompose_complex(x))
 
     def torsion_decompose_in_heart(self, x: Complex, i: int, s: int):
         """Triangle U -> X -> C with U in add(X_i[-s]) and C in
@@ -409,7 +400,7 @@ class DerivedWorkbench:
                 continue
             ok = all(not any(self.ctx.ext_row(p)[j]
                              for j in range(1, self.n + 1))
-                     for p, _ in rep.decompose(h0, self.cap))
+                     for p, _ in rep.decompose(h0))
             if not ok:
                 bad.append(o)
         report["h0_of_aisle_in_ke0"] = (not bad, f"{len(bad)} violations")

@@ -62,16 +62,64 @@ def random_change_of_basis(integer, m):
     return rep.check_module(m.algebra, m.dims, act)
 
 
-def has_invertible_component(d, cap=rep.END_ENUM_CAP) -> bool:
+def has_invertible_component(d) -> bool:
     """Whether d has an invertible component between the indecomposable
     summands that rep.decompose_with_maps finds in its source and target:
     the decomposition-based test, kept as an oracle for the enumeration's
     block-based one."""
-    for _, si, _ in rep.decompose_with_maps(d.source, cap):
-        for _, _, tp in rep.decompose_with_maps(d.target, cap):
+    for _, si, _ in rep.decompose_with_maps(d.source):
+        for _, _, tp in rep.decompose_with_maps(d.target):
             if rep.compose(tp, rep.compose(d, si)).is_iso():
                 return True
     return False
+
+
+def splitting_idempotent_by_scan(endos, p):
+    """The first idempotent other than 0 and 1 in the span of endos (module
+    or chain maps), in rep.all_maps order, or None: the exhaustive scan kept
+    as an oracle for rep.splitting_map and gf.local_ring."""
+    for f in rep.all_maps(endos, p, skip_zero=True):
+        t = f.total()
+        if not np.array_equal(t, gf.eye(len(t))) and \
+                np.array_equal(gf.mul(t, t, p), t):
+            return f
+    return None
+
+
+def is_isomorphic_by_scan(m, n):
+    """An invertible map in Hom(m, n), the first in rep.all_maps order, or
+    None: the exhaustive scan kept as an oracle for rep.is_isomorphic."""
+    if m.dim_vector() != n.dim_vector():
+        return None
+    if m.total_dim == 0:
+        return rep.zero_map(m, n)
+    return next((f for f in rep.all_maps(rep.hom_space(m, n), m.p,
+                                         skip_zero=True) if f.is_iso()), None)
+
+
+def local_radical_by_scan(endos, p):
+    """Echelon basis, as flattened columns, of the span of the nilpotent
+    elements of the span of endos: the radical when that span is a local
+    ring.  The exhaustive scan kept as an oracle for gf.local_ring."""
+    n = len(endos[0].total())
+    nilpotents = [f.total().flatten()
+                  for f in rep.all_maps(endos, p, skip_zero=True)
+                  if not gf.power(f.total(), n, p).any()]
+    if not nilpotents:
+        return gf.zeros(n * n, 0)
+    return gf.column_space(np.stack(nilpotents, axis=1), p)
+
+
+def is_derived_isomorphic_by_scan(x, y):
+    """Whether x and y have the same cohomology and some map from the
+    projective replacement of x to y is a quasi-isomorphism: the exhaustive
+    scan kept as an oracle for derived.is_derived_isomorphic."""
+    hx = derived.cohomology_profile(x)
+    if hx != derived.cohomology_profile(y):
+        return False
+    px = derived.projective_replacement(x)[0]
+    return not hx or any(derived.is_quasi_iso(f) for f in rep.all_maps(
+        derived.hom_homotopy(px, y), x.p, skip_zero=True))
 
 
 def torsion_decompose_by_search(wb, x, i, s):

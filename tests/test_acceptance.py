@@ -47,8 +47,8 @@ def done(k, text):
     print(f"criterion {k}: PASS ({text})")
 
 
-def summand_dims(m, cap=rep.END_ENUM_CAP):
-    return sorted(s.dim_vector() for s, mult in rep.decompose(m, cap)
+def summand_dims(m):
+    return sorted(s.dim_vector() for s, mult in rep.decompose(m)
                   for _ in range(mult))
 
 

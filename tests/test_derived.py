@@ -242,7 +242,7 @@ def test_candidate_differential_refusal_names_its_size(monkeypatch):
     # drop every candidate, so that the search reaches the first pair of
     # terms whose differentials exceed the cap
     monkeypatch.setattr(derived, "is_indecomposable_complex",
-                        lambda x, cap: False)
+                        lambda x: False)
     with pytest.raises(SearchExhausted) as info:
         derived.enumerate_indecomposable_complexes(k, 2, 3, cap=2)
     assert str(info.value) == (
@@ -293,7 +293,7 @@ def test_visible_split_is_a_decomposition(interval_modules, data):
     alg, combo, cand = _candidate(data, interval_modules)
     blocks = derived._part_blocks(combo, cand.diffs)
     if derived._visibly_splits(alg, combo, blocks):
-        assert len(derived.decompose_complex(cand, cap=10 ** 8)) >= 2
+        assert len(derived.decompose_complex(cand)) >= 2
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -324,9 +324,9 @@ def test_running_example_enumeration_scans_few_candidates(monkeypatch):
     calls = []
     original = derived.is_indecomposable_complex
 
-    def counted(x, cap=rep.END_ENUM_CAP):
+    def counted(x):
         calls.append(x)
-        return original(x, cap)
+        return original(x)
 
     monkeypatch.setattr(derived, "is_indecomposable_complex", counted)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))

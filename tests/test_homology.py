@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tiltlab.algebra import build_algebra, make_quiver
 from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
-from tiltlab.errors import NotBasic, SearchExhausted
+from tiltlab.errors import NotBasic
 
 from helpers import change_of_basis, presentations_match
 
@@ -231,14 +231,23 @@ def test_homology_at_exact_sequence(setup):
     assert hl.homology_at(f, None).dim_vector() == (0, 1, 0)
 
 
-def test_local_radical_refusal_names_its_size():
+def test_local_radical_of_p12_and_of_a_uniserial():
     q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
     p12 = rep.projective(build_algebra(q, ["a*b"], 2), 1)
-    with pytest.raises(SearchExhausted) as info:
-        hl._local_radical(rep.hom_space(p12, p12), p12, cap=1)
-    assert str(info.value) == (
-        "homology: End of the module with dimension vector (1, 1, 0): "
-        "2^1 exceeds cap 1")
+    # End(P12) = e_1 A e_1 = F_2: local, with zero radical
+    assert gf.local_ring([f.total() for f in rep.hom_space(p12, p12)],
+                         2) == (None, [], 1)
+    # End(P) = F_3[x]/(x^3) for the loop algebra: rad = (x), residue F_3
+    loop = build_algebra(make_quiver([1], [("x", 1, 1)]), ["x*x*x"], 3)
+    p = rep.projective(loop, 1)
+    endos = [f.total() for f in rep.hom_space(p, p)]
+    e, rad, k = gf.local_ring(endos, 3)
+    assert e is None and k == 1
+    x = p.action["x"]
+    assert np.array_equal(np.stack([r.flatten() for r in rad], axis=1),
+                          gf.column_space(np.stack(
+                              [x.flatten(), gf.mul(x, x, 3).flatten()],
+                              axis=1), 3))
 
 
 def test_coords_in_basis_one_column_per_map():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import rep
-from tiltlab.errors import RelationViolated, SearchExhausted
+from tiltlab import gf, rep
+from tiltlab.errors import RelationViolated
 
 from helpers import change_of_basis
 
@@ -132,22 +132,24 @@ def test_decompose_with_maps_reassembles(a3, tilt):
     assert np.array_equal(total.total(), ident.total())
 
 
-def test_fitting_fallback_refuses_instead_of_guessing():
+def test_kernel_splits_where_basis_fitting_powers_do_not():
     kronecker = build_algebra(
         make_quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [], p=3)
     m = rep.check_module(kronecker, {1: 2, 2: 2},
                          {"a": [[0, 2], [2, 1]], "b": [[2, 1], [0, 2]]})
-    assert not rep.is_indecomposable(m)  # the full scan splits it
-    # past the cap no Fitting power of a basis element splits it, which
-    # proves nothing: refused, not called indecomposable
-    with pytest.raises(SearchExhausted):
-        rep.is_indecomposable(m, cap=1)
-    with pytest.raises(SearchExhausted):
-        rep.decompose_with_maps(m, cap=1)
-    # a Fitting split past the cap is a certificate: S1^4 still splits
+    # no Fitting power of a basis element of End(m) splits m, and the
+    # kernel splits it without a search
+    for f in rep.hom_space(m, m):
+        t = gf.power(f.total(), m.total_dim, 3)
+        assert not t.any() or gf.is_invertible(t, 3)
+    assert not rep.is_indecomposable(m)
+    parts = rep.decompose_with_maps(m)
+    assert [s.dim_vector() for s, _, _ in parts] == [(1, 1)] * 2
+    assert rep.iso_of_indecomposables(parts[0][0], parts[1][0]) is None
+    # S1^4, with End = M_4(F_3), splits into four simples
     four = rep.direct_sum([rep.simple(kronecker, 1)] * 4)[0]
-    assert not rep.is_indecomposable(four, cap=3)
-    parts = rep.decompose_with_maps(four, cap=3)
+    assert not rep.is_indecomposable(four)
+    parts = rep.decompose_with_maps(four)
     assert [s.dim_vector() for s, _, _ in parts] == [(1, 0)] * 4
     total = rep.zero_map(four, four)
     for _, inc, proj in parts:
@@ -210,7 +212,7 @@ def test_split_by_idempotent_maps_are_a_decomposition(a3, data):
     picks = data.draw(st.lists(st.sampled_from(intervals), min_size=2,
                                max_size=3))
     m = change_of_basis(data.draw, rep.direct_sum(picks)[0])
-    e = rep._splitting_map(m, rep.END_ENUM_CAP)
+    e = rep.splitting_map(rep.hom_space(m, m), m.p)
     parts = rep.split_by_idempotent(m, e)
     for i, (sub_i, inc_i, _) in enumerate(parts):
         for j, (_, _, proj_j) in enumerate(parts):
@@ -313,3 +315,30 @@ def test_abstract_map_round_trip(a3, projs):
     f = rep.abstract_map_to_module_map(m, bases, m, bases,
                                        np.eye(a3.dim, dtype=np.int64))
     assert f.is_iso()
+
+
+@pytest.mark.parametrize("parts", [["12"] * 4, ["T", "T"], ["12"] * 5])
+def test_is_isomorphic_answers_past_the_old_scan_size(parts):
+    # over F_3 the scan of Hom(M, M) had 3^16, 3^20 and 3^25 maps to walk
+    alg = build_algebra(make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+                        ["a*b"], p=3)
+    p12 = rep.projective(alg, 1)
+    mods = {"12": p12, "T": rep.direct_sum(
+        [rep.projective(alg, 2), p12, rep.injective(alg, 1)])[0]}
+    m = rep.direct_sum([mods[name] for name in parts])[0]
+    w = rep.is_isomorphic(m, m)
+    assert w is not None and w.is_iso()
+    w.verify()
+
+
+def test_kronecker_scan_keeps_the_residue_field_f4_module():
+    # the Kronecker algebra does not knit, so its list comes from the scan;
+    # the module (2, 2) with a = 1, b of minimal polynomial x^2 + x + 1 has
+    # End = F_4, which a kernel that refused residue degree 2 would drop
+    kronecker = build_algebra(
+        make_quiver([1, 2], [("a", 1, 2), ("b", 1, 2)]), [], p=2)
+    finite, mods = rep.is_representation_finite(kronecker, 4)
+    assert not finite and len(mods) == 11
+    degrees = [gf.local_ring([f.total() for f in rep.hom_space(m, m)], 2)[2]
+               for m in mods]
+    assert degrees.count(2) == 1

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab import algebra, derived, rep, tilting, tstructures
-from tiltlab.errors import (InternalInconsistency, ModeUnsupported,
-                            SearchExhausted)
+from tiltlab.errors import (InternalInconsistency, LocalityUndecided,
+                            ModeUnsupported, SearchExhausted)
 
 from helpers import change_of_basis, torsion_decompose_by_search
 
@@ -47,6 +47,16 @@ TWO_TERM = ((-1, S3), (0, S1))
 
 def test_universe_is_the_six_objects(wb):
     assert len(wb.universe) == 6
+
+
+def test_in_additive_closure_propagates_a_refusal(wb, a3, monkeypatch):
+    def refuse(x):
+        raise LocalityUndecided("stub refusal")
+
+    monkeypatch.setattr(derived, "decompose_complex", refuse)
+    x = derived.stalk_complex(rep.simple(a3, 2), 0)
+    with pytest.raises(LocalityUndecided):
+        wb.in_additive_closure(x, wb.heart_torsion_pair(0)[1], 0)
 
 
 def test_tilting_coaisle_membership(wb, a3):
