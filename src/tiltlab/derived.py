@@ -120,6 +120,19 @@ class ChainMap:
             c += f.source.total_dim
         return out
 
+    @classmethod
+    def from_total(cls, source: Complex, target: Complex, m: np.ndarray):
+        """The chain map whose total() is m, read degree block by degree
+        block (the inverse of total())."""
+        maps, r, c = {}, 0, 0
+        for n in sorted(set(source.support) | set(target.support)):
+            s, t = source.term(n), target.term(n)
+            maps[n] = ModuleMap.from_total(
+                s, t, m[r:r + t.total_dim, c:c + s.total_dim])
+            r += t.total_dim
+            c += s.total_dim
+        return cls(source, target, maps, check=False)
+
     def __add__(self, other):
         degs = set(self.maps) | set(other.maps)
         return ChainMap(self.source, self.target,
@@ -325,12 +338,6 @@ def is_nullhomotopic(f: ChainMap) -> bool:
 
 
 # -- projective replacement -----------------------------------------------------
-
-def has_projective_terms(x: Complex) -> bool:
-    from .tilting import in_add
-    reg = rep.regular_module(x.algebra)
-    return all(in_add(reg, m) for m in x.terms.values())
-
 
 def projective_replacement(x: Complex, cap: int = REPLACEMENT_SLACK):
     """A complex of projectives with a surjective quasi-isomorphism onto x.

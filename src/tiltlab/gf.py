@@ -37,6 +37,13 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(a @ b, p)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two matrices, as numpy's kron computes it,
+    by one broadcast product (not reduced mod p)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def mulchain(p: int, *mats: np.ndarray) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:

@@ -191,14 +191,21 @@ def _ext_dims(x: Module, y: Module, cap: int) -> list:
 
 def ext_dim_via_injectives(x: Module, y: Module, i: int,
                            cap: int = RESOLUTION_CAP) -> int:
-    """Independent route: dim Ext^i(x, y) from an injective coresolution of y."""
+    """Independent route: dim Ext^i(x, y) from an injective coresolution of
+    y, every degree from one complex Hom(x, I^*), once per encoding of x
+    and y and cap."""
     if i < 0 or x.total_dim == 0 or y.total_dim == 0:
         return 0
+    dims = x.algebra.memo(("ext_dims_inj", x.encode(), y.encode(), cap),
+                          lambda: _ext_dims_via_injectives(x, y, cap))
+    return dims[i] if i < len(dims) else 0
+
+
+def _ext_dims_via_injectives(x: Module, y: Module, cap: int) -> list:
     terms, diffs, _ = injective_coresolution(y, cap)
-    if i >= len(terms):
-        return 0
+    # Hom(x, I^j) -> Hom(x, I^{j+1}) postcomposes with d: I^j -> I^{j+1}
     return _hom_cohomology_dims([rep.hom_space(x, t) for t in terms],
-                                lambda j, f: compose(diffs[j], f), x.p)[i]
+                                lambda j, f: compose(diffs[j], f), x.p)
 
 
 def ext_dim_checked(x: Module, y: Module, i: int,
@@ -502,8 +509,8 @@ def tensor_over_b(data: EndomorphismData, n: Module) -> TransportedModule:
     # balance relations: psi(pi) t (x) x - t (x) pi.x for every basis pi
     cols = []
     for i in range(b.dim):
-        left = np.kron(data.psi(i), gf.eye(dn)) % p
-        right = np.kron(gf.eye(dt), n.element_total(b.basis_vector(i))) % p
+        left = gf.kron(data.psi(i), gf.eye(dn)) % p
+        right = gf.kron(gf.eye(dt), n.element_total(b.basis_vector(i))) % p
         diff = (left - right) % p
         if diff.any():
             cols.append(diff)
@@ -512,7 +519,7 @@ def tensor_over_b(data: EndomorphismData, n: Module) -> TransportedModule:
     proj, sec = gf.quotient_map(relmat, dt * dn, p)
 
     def rho(i):
-        act = np.kron(data.t.element_total(alg.basis_vector(i)),
+        act = gf.kron(data.t.element_total(alg.basis_vector(i)),
                       gf.eye(dn)) % p
         return gf.mulchain(p, proj, act, sec)
 
@@ -529,7 +536,7 @@ def tensor_induced_map(data: EndomorphismData, src: TransportedModule,
     proj_s, sec_s, _ = src.extra
     proj_t, _, _ = tgt.extra
     dt = data.t.total_dim
-    big = np.kron(gf.eye(dt), g.total()) % p
+    big = gf.kron(gf.eye(dt), g.total()) % p
     phi = gf.mulchain(p, proj_t, big, sec_s)
     return rep.abstract_map_to_module_map(src.module, src.bases,
                                           tgt.module, tgt.bases, phi)
@@ -584,7 +591,7 @@ def counit_map(data: EndomorphismData, x: Module,
             hmat = maps_flat[:, j].reshape(dx, dt)
             ev[:, i * dn + j] = hmat[:, i]
     if gf.mul(ev, gf.column_space(
-            (np.kron(gf.eye(dt), gf.eye(dn)) - gf.mul(sec, proj, p)) % p, p),
+            (gf.eye(dt * dn) - gf.mul(sec, proj, p)) % p, p),
             p).any():
         raise InternalInconsistency("evaluation does not kill the relations")
     phi = gf.mul(ev, sec, p)

@@ -132,6 +132,13 @@ class ModuleMap:
             m[self.target.slice(v), self.source.slice(v)] = self.blocks[v]
         return m
 
+    @classmethod
+    def from_total(cls, source: Module, target: Module, m: np.ndarray):
+        """The map whose total() is m (reduced, zero off the vertex blocks),
+        read block by block."""
+        return cls(source, target, {v: m[target.slice(v), source.slice(v)]
+                                    for v in source.vertex_order}, check=False)
+
     def is_zero(self) -> bool:
         return not any(b.any() for b in self.blocks.values())
 
@@ -220,11 +227,11 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
                 # vec(N_a F_s) = (I_{m_s} (x) N_a) vec(F_s), column-major vec
                 block[:, voff:voff + size] = (
                     block[:, voff:voff + size]
-                    + np.kron(gf.eye(m.dims[s]), n.action[a.name])) % p
+                    + gf.kron(gf.eye(m.dims[s]), n.action[a.name])) % p
             if v == t:
                 block[:, voff:voff + size] = (
                     block[:, voff:voff + size]
-                    - np.kron(m.action[a.name].T, gf.eye(n.dims[t]))) % p
+                    - gf.kron(m.action[a.name].T, gf.eye(n.dims[t]))) % p
         rows.append(block)
     sys = np.concatenate(rows, axis=0) % p if rows else gf.zeros(0, nunk)
     basis = gf.nullspace(sys, p)
@@ -489,10 +496,9 @@ def splitting_map(endos: list, p: int):
     """e in the span of endos, a basis of End of a module or complex, with
     im e (+) ker e the object and both nonzero, or None when the object is
     indecomposable (gf.local_ring)."""
-    totals = [f.total() for f in endos]
-    e = gf.local_ring(totals, p)[0]
-    return None if e is None else map_from_coeffs(endos, gf.solve(
-        gf.stack_flat(totals, len(e)), e.flatten(), p)[:, 0])
+    e = gf.local_ring([f.total() for f in endos], p)[0]
+    f = endos[0]
+    return None if e is None else type(f).from_total(f.source, f.target, e)
 
 
 def split_by_idempotent(m: Module, e: ModuleMap):

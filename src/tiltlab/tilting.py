@@ -41,10 +41,19 @@ class Filtration:
 
 
 def in_add(t: Module, m: Module) -> bool:
-    """Is m a direct sum of direct summands of t?"""
-    t_parts = [s for s, _ in rep.decompose(t)]
-    return all(any(rep.iso_of_indecomposables(s, u) is not None
-                   for u in t_parts) for s, _ in rep.decompose(m))
+    """Is m a direct summand of some t^r?  Exactly when id_m factors through
+    add t, that is, lies in the span of Hom(t, m) o Hom(m, t)
+    (Auslander-Reiten-Smalo, ch. I-II): then m -> t^r -> m is id_m.  One
+    linear solve, no decomposition."""
+    if m.total_dim == 0:
+        return True
+    into, out_of = rep.hom_space(m, t), rep.hom_space(t, m)
+    if not into or not out_of:
+        return False
+    f = np.stack([h.total() for h in into])          # (k, dim t, dim m)
+    g = np.stack([h.total() for h in out_of])        # (l, dim m, dim t)
+    prods = np.matmul(g[:, None], f[None]).reshape(-1, m.total_dim ** 2)
+    return gf.in_span(prods.T % m.p, gf.eye(m.total_dim).flatten(), m.p)
 
 
 def universal_map_into_add(k: Module, t: Module):

@@ -5,7 +5,7 @@ from itertools import permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from tiltlab import derived, gf, rep
+from tiltlab import derived, gf, rep, tilting
 from tiltlab.errors import SearchExhausted
 
 
@@ -60,6 +60,21 @@ def random_change_of_basis(integer, m):
                                gf.inverse(g[a.source], p))
            for a in m.algebra.quiver.arrows}
     return rep.check_module(m.algebra, m.dims, act)
+
+
+def in_add_by_decomposition(t, m) -> bool:
+    """Whether every indecomposable summand of m is isomorphic to one of t,
+    comparing Krull-Schmidt decompositions: the decomposition-based test,
+    kept as an oracle for tilting.in_add."""
+    t_parts = [s for s, _ in rep.decompose(t)]
+    return all(any(rep.iso_of_indecomposables(s, u) is not None
+                   for u in t_parts) for s, _ in rep.decompose(m))
+
+
+def has_projective_terms(x) -> bool:
+    """Whether every term of the complex x is projective."""
+    reg = rep.regular_module(x.algebra)
+    return all(tilting.in_add(reg, m) for m in x.terms.values())
 
 
 def has_invertible_component(d) -> bool:

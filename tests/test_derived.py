@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tiltlab import algebra, cli, derived, gf, homology, rep
 from tiltlab.errors import SearchExhausted
 
-from helpers import has_invertible_component
+from helpers import has_invertible_component, has_projective_terms
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_projective_replacement_of_simple(mods):
     assert {n: px.terms[n].dim_vector() for n in px.support} == \
         {-1: (0, 0, 1), 0: (0, 1, 1)}
     assert derived.is_quasi_iso(qis)
-    assert derived.has_projective_terms(px)
+    assert has_projective_terms(px)
 
 
 def test_projective_replacement_preserves_cohomology(mods, a3):
@@ -187,6 +187,11 @@ def _check_chain_maps_by_scan(x, y):
     basis = derived.chain_maps(x, y)
     for f in basis:
         f.verify()
+        back = derived.ChainMap.from_total(x, y, f.total())
+        assert all(np.array_equal(back.map_at(n).blocks[v],
+                                  f.map_at(n).blocks[v])
+                   for n in set(x.support) | set(y.support)
+                   for v in f.map_at(n).blocks)
     if basis:
         flat = np.stack([f.total().flatten() for f in basis], axis=1)
         assert gf.rank(flat, p) == len(basis)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import gf, rep
+from tiltlab import gf, homology, rep
 from tiltlab.errors import RelationViolated
 
 from helpers import change_of_basis
@@ -212,7 +212,13 @@ def test_split_by_idempotent_maps_are_a_decomposition(a3, data):
     picks = data.draw(st.lists(st.sampled_from(intervals), min_size=2,
                                max_size=3))
     m = change_of_basis(data.draw, rep.direct_sum(picks)[0])
-    e = rep.splitting_map(rep.hom_space(m, m), m.p)
+    endos = rep.hom_space(m, m)
+    e = rep.splitting_map(endos, m.p)
+    # the blocks read off the kernel's matrix are those of its coordinates
+    coords = homology.coords_in_basis(endos, [e])[:, 0]
+    by_coords = rep.map_from_coeffs(endos, coords)
+    assert all(np.array_equal(e.blocks[v], by_coords.blocks[v])
+               for v in m.vertex_order)
     parts = rep.split_by_idempotent(m, e)
     for i, (sub_i, inc_i, _) in enumerate(parts):
         for j, (_, _, proj_j) in enumerate(parts):

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiltlab.algebra import build_algebra, make_quiver
-from tiltlab import rep, tilting as tl
+from tiltlab import homology as hl, rep, tilting as tl
 from tiltlab.errors import (ModeUnsupported, NotSequentiallyStatic,
                             NotTilting)
+
+from helpers import change_of_basis, in_add_by_decomposition
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +227,102 @@ def test_one_tilting_brenner_butler_instance():
         sub, incl = tl.torsion_radical(ke0, x)
         quot, _ = rep.cokernel(incl)
         assert all(rep.hom_dim(g, quot) == 0 for g in ke0)
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def intervals(request):
+    """The indecomposables of the running example over F_2 and F_3."""
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    return rep.enumerate_indecomposable_modules(
+        build_algebra(q, ["a*b"], p=request.param), 3)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_in_add_matches_the_decomposition_oracle(intervals, data):
+    # t and m: sums of 1-3 indecomposables, repeats allowed (t need not be
+    # basic), under a change of basis; m is drawn from t's summands half
+    # of the time, so members and non-members both occur
+    t_picks = data.draw(st.lists(st.sampled_from(intervals), min_size=1,
+                                 max_size=3))
+    member = data.draw(st.booleans())
+    m_picks = data.draw(st.lists(st.sampled_from(
+        t_picks if member else intervals), min_size=1, max_size=3))
+    t = change_of_basis(data.draw, rep.direct_sum(t_picks)[0])
+    m = change_of_basis(data.draw, rep.direct_sum(m_picks)[0])
+    got = tl.in_add(t, m)
+    assert got == in_add_by_decomposition(t, m)
+    assert got or not member
+
+
+def test_in_add_without_decomposition(setup, monkeypatch):
+    alg, projs, simples, _ = setup
+
+    def refuse(m):
+        raise AssertionError("in_add decomposed a module")
+
+    monkeypatch.setattr(rep, "decompose_with_maps", refuse)
+    t, _, _ = rep.direct_sum([projs[2], projs[2], simples[2]])
+    for parts, member in (([projs[2]], True), ([simples[2], projs[2]], True),
+                          ([projs[2], projs[2], projs[2]], True),
+                          ([projs[1]], False), ([simples[3]], False),
+                          ([projs[2], simples[1]], False)):
+        assert tl.in_add(t, rep.direct_sum(parts)[0]) is member
+    assert tl.in_add(t, rep.zero_module(alg))
+    assert not tl.in_add(rep.zero_module(alg), simples[1])
+
+
+def _linear_a4():
+    q = make_quiver([1, 2, 3, 4], [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+    return build_algebra(q, ["a*b", "b*c"], p=2)
+
+
+def test_tilting_check_of_da_never_decomposes_the_regular_module(
+        monkeypatch):
+    alg = _linear_a4()
+    regular = rep.regular_module(alg).encode()
+    split, decompose_with_maps = [], rep.decompose_with_maps
+
+    def counted(m):
+        split.append(m.encode())
+        return decompose_with_maps(m)
+
+    monkeypatch.setattr(rep, "decompose_with_maps", counted)
+    da = rep.direct_sum([rep.injective(alg, v) for v in (1, 2, 3, 4)])[0]
+    cert = tl.check_classical_tilting(da, 3)
+    assert cert.rigidity == [0, 0, 0]
+    assert len(cert.coresolution_terms) == 4
+    assert split and regular not in split
+
+
+def test_ext_dim_checked_builds_each_hom_into_an_injective_once(
+        monkeypatch):
+    # hom_space calls made by the injective route, per (T, I^j) pair
+    alg = _linear_a4()
+    seen, inside = {}, []
+    hom_space, via_injectives = rep.hom_space, hl.ext_dim_via_injectives
+
+    def counted_hom(m, n):
+        if inside:
+            key = (m.encode(), n.encode())
+            seen[key] = seen.get(key, 0) + 1
+        return hom_space(m, n)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return via_injectives(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rep, "hom_space", counted_hom)
+    monkeypatch.setattr(hl, "ext_dim_via_injectives", flagged)
+    da = rep.direct_sum([rep.injective(alg, v) for v in (1, 2, 3, 4)])[0]
+    x = rep.simple(alg, 1)
+    # every degree of Ext^i(x, DA) and Ext^i(DA, DA), twice over
+    for _ in range(2):
+        for i in range(5):
+            hl.ext_dim_checked(x, da, i)
+            hl.ext_dim_checked(da, da, i)
+    tl.check_classical_tilting(da, 3)
+    assert seen and max(seen.values()) == 1
