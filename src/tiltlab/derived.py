@@ -314,18 +314,26 @@ def homotopy_span(x: Complex, y: Complex,
     return gf.column_space(coords_in_basis(chain_basis, hs), x.p)
 
 
-def hom_homotopy(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of chain maps modulo homotopy (class representatives).
+def classes_modulo(x: Complex, y: Complex, extra=()) -> list[ChainMap]:
+    """Chain maps x -> y whose classes form a basis of Hom(x, y) modulo the
+    nullhomotopic maps and the span of the chain maps extra.
 
-    basis[k] is chosen exactly when e_k is outside the span of the
-    nullhomotopic maps and e_0..e_{k-1}: a pivot of rref([null | I])."""
+    basis[k] is chosen exactly when e_k is outside that span and
+    e_0..e_{k-1}: a pivot of rref([null | I])."""
     basis = chain_maps(x, y)
     if not basis:
         return []
     null = homotopy_span(x, y, basis)
+    if extra:
+        null = np.concatenate([null, coords_in_basis(basis, extra)], axis=1)
     _, pivots = gf.rref(np.concatenate([null, gf.eye(len(basis))], axis=1),
                         x.p)
     return [basis[k - null.shape[1]] for k in pivots if k >= null.shape[1]]
+
+
+def hom_homotopy(x: Complex, y: Complex) -> list[ChainMap]:
+    """Basis of chain maps modulo homotopy (class representatives)."""
+    return classes_modulo(x, y)
 
 
 def is_nullhomotopic(f: ChainMap) -> bool:

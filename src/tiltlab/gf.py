@@ -138,6 +138,17 @@ def in_span(cols: np.ndarray, v: np.ndarray, p: int) -> bool:
     return solve(cols, v % p, p) is not None
 
 
+def identity_factors(into: list, out_of: list, p: int) -> bool:
+    """Does the identity of F_p^m lie in the span of the products g f, for f
+    in into (t x m matrices) and g in out_of (m x t)?  One in_span solve."""
+    if not into or not out_of:
+        return False
+    f, g = np.stack(into), np.stack(out_of)        # (k, t, m), (l, m, t)
+    m = f.shape[2]
+    prods = np.matmul(g[:, None], f[None]).reshape(-1, m * m)
+    return in_span(prods.T % p, eye(m).flatten(), p)
+
+
 def quotient_map(sub: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Quotient of F_p^n by the column span of `sub`.
 

@@ -47,13 +47,8 @@ def in_add(t: Module, m: Module) -> bool:
     linear solve, no decomposition."""
     if m.total_dim == 0:
         return True
-    into, out_of = rep.hom_space(m, t), rep.hom_space(t, m)
-    if not into or not out_of:
-        return False
-    f = np.stack([h.total() for h in into])          # (k, dim t, dim m)
-    g = np.stack([h.total() for h in out_of])        # (l, dim m, dim t)
-    prods = np.matmul(g[:, None], f[None]).reshape(-1, m.total_dim ** 2)
-    return gf.in_span(prods.T % m.p, gf.eye(m.total_dim).flatten(), m.p)
+    return gf.identity_factors([h.total() for h in rep.hom_space(m, t)],
+                               [h.total() for h in rep.hom_space(t, m)], m.p)
 
 
 def universal_map_into_add(k: Module, t: Module):

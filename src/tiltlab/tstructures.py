@@ -3,15 +3,11 @@ heart torsion pairs, torsion decompositions, and the depth-n t-tree."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import derived, gf, rep
-from .derived import (Complex, cached_replacement, cohomology,
+from .derived import (ChainMap, Complex, cached_replacement, cohomology,
                       cohomology_profile, compose_chain, derived_hom_dim,
-                      hom_homotopy, is_derived_isomorphic, is_zero_in_derived,
-                      shift, stalk_complex)
-from .errors import InternalInconsistency, ModeUnsupported, SearchExhausted
-from .homology import coords_in_basis
+                      is_zero_in_derived, shift, stalk_complex)
+from .errors import ModeUnsupported, SearchExhausted
 from .tilting import TiltingContext, miyashita_class
 
 
@@ -21,27 +17,6 @@ def describe(x: Complex) -> str:
         return "0"
     return ", ".join(f"H^{n}={h}" for n, h
                      in sorted(cohomology_profile(x).items()))
-
-
-def _solve_rational(a: list, b: list):
-    """The solution of the square system a m = b over Q, or None when a is
-    singular."""
-    # imported here: fractions pulls in decimal, which costs every CLI
-    # command that never splits a t-tree node about 0.3 MB
-    from fractions import Fraction
-    n = len(a)
-    rows = [[Fraction(v) for v in row] + [Fraction(r)]
-            for row, r in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                q = rows[r][col] / rows[col][col]
-                rows[r] = [v - q * w for v, w in zip(rows[r], rows[col])]
-    return [rows[r][n] / rows[r][r] for r in range(n)]
 
 
 class GeneratedTStructure:
@@ -220,8 +195,9 @@ class DerivedWorkbench:
         return [self.member(k) for k in keys]
 
     def member(self, key) -> Complex:
+        """universe[ui][s], as a shift of its memoized minimal replacement."""
         ui, s = key
-        return shift(self.universe[ui], s)
+        return shift(derived.minimal_replacement(self.universe[ui]), s)
 
     def heart_members(self, i: int):
         if i not in self._hearts:
@@ -244,68 +220,77 @@ class DerivedWorkbench:
         return self._pairs[i]
 
     def in_additive_closure(self, x: Complex, keys, extra_shift: int) -> bool:
-        """Does x decompose into summands from {member(k)[extra_shift]}?"""
-        return is_zero_in_derived(x) or all(any(
-            is_derived_isomorphic(piece, shift(self.member(k), extra_shift))
-            for k in keys) for piece in derived.decompose_complex(x))
+        """Is x a summand of a sum of copies of the member(k)[extra_shift]?
+
+        With mx the minimal replacement of x and my the sum of the minimal
+        complexes member(k)[extra_shift], exactly when id_mx lies in the span
+        of g o f over strict chain maps f: mx -> my and g: my -> mx: one
+        solve (gf.identity_factors) with no homotopy term.  For if
+        id ~ g o f, then id - g o f is nullhomotopic, so it lies in
+        rad End(mx), because mx is minimal; so g o f is invertible, and
+        id = ((g o f)^-1 g) o f."""
+        if is_zero_in_derived(x):
+            return True
+        if not keys:
+            return False
+        mx = derived.minimal_replacement(x)
+        my = derived.direct_sum_complexes(
+            [shift(self.member(k), extra_shift) for k in keys])[0]
+        return gf.identity_factors(
+            [f.total() for f in derived.chain_maps(mx, my)],
+            [g.total() for g in derived.chain_maps(my, mx)], self.algebra.p)
 
     def torsion_decompose_in_heart(self, x: Complex, i: int, s: int):
         """Triangle U -> X -> C with U in add(X_i[-s]) and C in
         add(Y_i[-s]); X must lie in H_i[-s].
 
-        Hom(X_k, U) = Hom(X_k, X) for every torsion member X_k, as
-        Hom(X_k, C) and negative Ext in a heart vanish.  So the multiplicities
-        of U solve [dim Hom(X_k, X_j)] m = h over Q, h_k = dim Hom(X_k, X);
-        f is the first map U -> X with every Hom(X_k, f) injective, by rank
-        (equal dimensions make it bijective); and one additive-closure check
-        that cone(f) lies in add(Y_i[-s]) certifies the triangle."""
+        The torsion inclusion t(X) -> X is mono in the heart, so it is the
+        right minimal add(X_i[-s])-approximation of X, unique up to
+        isomorphism (Auslander-Smalo, J. Algebra 66, 1980).  It is built by
+        linear algebra: for each torsion member X_k, Top_k is Hom(X_k, X)
+        modulo homotopy and modulo the maps h o r, for h in Hom(X_j, X) and
+        r radical (all of Hom(X_k, X_j) for j != k, rad End(X_k) for
+        j = k).  U = (+)_k X_k^{dim Top_k}, f sums lifts of a basis of every
+        Top_k, and one additive-closure check that cone(f) lies in
+        add(Y_i[-s]) certifies the triangle."""
         x_keys, y_keys = self.heart_torsion_pair(i)
         u = derived.zero_complex(self.algebra)
         if is_zero_in_derived(x):
             return u, None, u
         members = [shift(self.member(k), -s) for k in x_keys]
-        h = [derived_hom_dim(m, x) for m in members]
+        to_x = [derived.chain_maps(m, x) for m in members]
+        lifts = [(m, g) for k, m in enumerate(members) if to_x[k]
+                 for g in self._top(members, to_x, k, x)]
         f, c = None, x
-        if any(h):
-            homs = [[derived_hom_dim(self.member(k), self.member(j))
-                     for j in x_keys] for k in x_keys]
-            mults = _solve_rational(homs, h)
-            if mults is None:
-                raise SearchExhausted(
-                    f"torsion members {[describe(m) for m in members]} of "
-                    f"H_{i}[{-s}] have a singular Hom matrix {homs}")
-            if any(n.denominator != 1 or n < 0 for n in mults):
-                raise InternalInconsistency(
-                    f"torsion multiplicities {[str(n) for n in mults]} are "
-                    f"not natural numbers: {describe(x)} is not in "
-                    f"H_{i}[{-s}]")
-            u, _ = derived.direct_sum_complexes(
-                [m for m, n in zip(members, mults) for _ in range(int(n))])
-            f = self._torsion_inclusion(members, cached_replacement(u), x)
+        if lifts:
+            u, incs = derived.direct_sum_complexes([m for m, _ in lifts])
+            f = ChainMap.from_total(u, x, sum(
+                g.total() @ inc.total().T
+                for (_, g), inc in zip(lifts, incs)) % self.algebra.p)
             c = derived.cone(f)
         if not self.in_additive_closure(c, y_keys, -s):
             raise SearchExhausted(
                 f"{describe(c)} is not certified in add(Y_{i}[{-s}])")
         return u, f, c
 
-    def _torsion_inclusion(self, members, pu: Complex, x: Complex):
-        """The first f: pu -> x in rep.all_maps order that keeps a basis of
-        every Hom(X_k, pu) independent modulo homotopy."""
-        p = self.algebra.p
-        checks = []
-        for pm in map(cached_replacement, members):
-            gs = hom_homotopy(pm, pu)
-            if gs:
-                basis = derived.chain_maps(pm, x)
-                checks.append((gs, basis, derived.homotopy_span(pm, x, basis)))
-        for f in rep.all_maps(hom_homotopy(pu, x), p, skip_zero=True,
-                              cap=self.cap):
-            if all(gf.rank(np.concatenate([null, coords_in_basis(
-                    basis, [compose_chain(f, g) for g in gs])], axis=1), p)
-                   == null.shape[1] + len(gs) for gs, basis, null in checks):
-                return f
-        raise SearchExhausted(f"no map onto the torsion part of {describe(x)} "
-                              f"within the search cap {self.cap}")
+    def _top(self, members, to_x, k: int, x: Complex):
+        """Lifts of a basis of Top_k; to_x[j] are the chain maps
+        members[j] -> x.  A named refusal unless End(X_k) is local with
+        residue field F_p."""
+        mk, p = members[k], self.algebra.p
+        e, rad, degree = gf.local_ring(
+            [g.total() for g in derived.chain_maps(mk, mk)], p)
+        if e is not None or degree != 1:
+            raise ModeUnsupported(
+                f"torsion member {describe(mk)} "
+                + ("splits" if e is not None else
+                   f"has residue field F_{p}^{degree}"))
+        radical = [[ChainMap.from_total(mk, mk, r) for r in rad] if j == k
+                   else derived.chain_maps(mk, mj)
+                   for j, mj in enumerate(members)]
+        return derived.classes_modulo(mk, x, [
+            compose_chain(h, r) for j, hs in enumerate(to_x)
+            for h in hs for r in radical[j]])
 
     def t_tree(self, x: rep.Module) -> TTree:
         tree = TTree(stalk_complex(x, 0), self.n)

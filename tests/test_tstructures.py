@@ -1,13 +1,18 @@
 """t-structures, hearts and t-trees over the three-vertex running algebra."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import algebra, derived, rep, tilting, tstructures
-from tiltlab.errors import (InternalInconsistency, LocalityUndecided,
-                            ModeUnsupported, SearchExhausted)
+from tiltlab import algebra, cli, derived, gf, rep, tilting, tstructures
+from tiltlab.errors import LocalityUndecided, ModeUnsupported
 
-from helpers import change_of_basis, torsion_decompose_by_search
+from helpers import (change_of_basis, complex_change_of_basis,
+                     in_additive_closure_by_decomposition,
+                     torsion_decompose_by_search)
+
+SUMS = Path(__file__).parent / "golden" / "sums.tilt"
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +55,32 @@ def test_universe_is_the_six_objects(wb):
 
 
 def test_in_additive_closure_propagates_a_refusal(wb, a3, monkeypatch):
-    def refuse(x):
+    def refuse(x, y):
         raise LocalityUndecided("stub refusal")
 
-    monkeypatch.setattr(derived, "decompose_complex", refuse)
+    monkeypatch.setattr(derived, "chain_maps", refuse)
     x = derived.stalk_complex(rep.simple(a3, 2), 0)
     with pytest.raises(LocalityUndecided):
         wb.in_additive_closure(x, wb.heart_torsion_pair(0)[1], 0)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_in_additive_closure_matches_decomposition(wb, data):
+    # every pair (X_i, Y_i) and every shift s that t_tree visits at level i
+    for i in range(wb.n):
+        x_keys, y_keys = wb.heart_torsion_pair(i)
+        others = sorted(set(x_keys) | {(ui, t) for ui in range(
+            len(wb.universe)) for t in (-1, 0, 1)})
+        for s in range(i + 1):
+            pool = y_keys if data.draw(st.booleans()) else others
+            keys = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=3))
+            y = derived.direct_sum_complexes(
+                [derived.shift(wb.member(k), -s) for k in keys])[0]
+            x = complex_change_of_basis(data.draw, y)
+            assert (wb.in_additive_closure(x, y_keys, -s)
+                    == in_additive_closure_by_decomposition(wb, x, y_keys, -s))
 
 
 def test_tilting_coaisle_membership(wb, a3):
@@ -189,22 +213,32 @@ def test_torsion_decompose_matches_search(wb, a3, data):
         frontier = nxt
 
 
-def test_singular_hom_matrix_is_a_refusal(wb, a3, monkeypatch):
+def test_a_torsion_member_of_residue_degree_two_is_refused(wb, a3,
+                                                           monkeypatch):
     wb.heart_torsion_pair(0)
     s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
-    monkeypatch.setattr(tstructures, "derived_hom_dim", lambda x, y: 1)
-    with pytest.raises(SearchExhausted, match="singular Hom matrix"):
+    monkeypatch.setattr(gf, "local_ring", lambda mats, p: (None, [], 2))
+    with pytest.raises(ModeUnsupported, match="residue field F_2\\^2"):
         wb.torsion_decompose_in_heart(s2, 0, 0)
 
 
-def test_fractional_multiplicities_are_an_inconsistency(wb, a3, monkeypatch):
-    # [dim Hom(X_k, X_j)] = 2 I and h = (1, ..., 1): m = 1/2
+def test_a_splitting_torsion_member_is_refused(wb, a3, monkeypatch):
     wb.heart_torsion_pair(0)
     s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
-    monkeypatch.setattr(tstructures, "derived_hom_dim",
-                        lambda x, y: 1 if y is s2 else
-                        2 * (x.encode() == y.encode()))
-    with pytest.raises(InternalInconsistency, match="1/2"):
+    monkeypatch.setattr(gf, "local_ring",
+                        lambda mats, p: (gf.eye(len(mats[0])), None, 0))
+    with pytest.raises(ModeUnsupported, match="splits"):
+        wb.torsion_decompose_in_heart(s2, 0, 0)
+
+
+def test_an_undecided_top_propagates(wb, a3, monkeypatch):
+    def undecided(mats, p):
+        raise LocalityUndecided("stub refusal")
+
+    wb.heart_torsion_pair(0)
+    s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
+    monkeypatch.setattr(gf, "local_ring", undecided)
+    with pytest.raises(LocalityUndecided, match="stub refusal"):
         wb.torsion_decompose_in_heart(s2, 0, 0)
 
 
@@ -223,6 +257,43 @@ def test_t_tree_of_a_sum_certifies_each_split_once(wb, a3, monkeypatch):
     # 1,422 when every multiplicity vector and map was tried
     assert len(calls) <= len(tree.triangles)
     assert profile(tree.node((0, 0))) == {0: (2, 3, 1)}
+
+
+@pytest.fixture(scope="module")
+def sums():
+    ws = cli.parse_workspace(str(SUMS))
+    return ws, tstructures.DerivedWorkbench(tilting.TiltingContext(
+        ws.module("T"), 2))
+
+
+def k0_class(c):
+    """The class of c in K_0: the alternating sum of its cohomology."""
+    return tuple(sum((-1) ** n * h[v] for n, h
+                     in derived.cohomology_profile(c).items())
+                 for v in range(len(c.algebra.quiver.vertices)))
+
+
+def add_profiles(profs):
+    out = {}
+    for prof in profs:
+        for n, h in prof.items():
+            out[n] = tuple(a + b for a, b in zip(out.get(n, (0,) * len(h)),
+                                                  h))
+    return out
+
+
+@pytest.mark.parametrize("summands", [["12"] * 5, ["12"] * 4, ["T", "T"]])
+def test_t_tree_of_a_large_sum_adds_up(sums, summands):
+    ws, wb = sums
+    m = rep.direct_sum([ws.module(name) for name in summands])[0]
+    tree = wb.t_tree(m)
+    leaves = tree.leaves()
+    assert tuple(map(sum, zip(*(k0_class(c) for c in leaves.values())))) \
+        == m.dim_vector()
+    parts = [wb.t_tree(ws.module(name)).leaves() for name in summands]
+    for pos, leaf in leaves.items():
+        assert profile(leaf) == add_profiles(
+            derived.cohomology_profile(part[pos]) for part in parts)
 
 
 def test_t_tree_of_simple_2(wb, a3):
