@@ -156,8 +156,9 @@ class BoundQuiverAlgebra:
     memo() holds every result that depends only on the algebra and fixed
     inputs (its opposite, projectives, global dimension, Krull-Schmidt
     splits, minimal projective resolutions, Ext and Tor modules over
-    End(T), projective replacements, derived Hom dimensions), computed once
-    and kept as long as the algebra object.
+    End(T), one minimal projective replacement per complex up to shift,
+    one derived Hom dimension per pair of complexes up to a common shift),
+    computed once and kept as long as the algebra object.
     """
 
     def __init__(self, quiver: Quiver, relations: list[Relation], p: int,
@@ -178,7 +179,9 @@ class BoundQuiverAlgebra:
         """The value of compute() stored under key, computed on first use.
 
         key must name everything besides the algebra that the value
-        depends on; the value is shared by every caller, so never mutate it.
+        depends on, and may be a normal form of the input (the derived
+        layer keys complexes shifted so that their top degree is 0); the
+        value is shared by every caller, so never mutate it.
         """
         if key not in self._memo:
             self._memo[key] = compute()

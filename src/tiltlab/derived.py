@@ -314,15 +314,16 @@ def homotopy_span(x: Complex, y: Complex,
     return gf.column_space(coords_in_basis(chain_basis, hs), x.p)
 
 
-def classes_modulo(x: Complex, y: Complex, extra=()) -> list[ChainMap]:
-    """Chain maps x -> y whose classes form a basis of Hom(x, y) modulo the
-    nullhomotopic maps and the span of the chain maps extra.
+def classes_modulo(basis: list[ChainMap], extra=()) -> list[ChainMap]:
+    """The members of basis, a basis of the chain maps x -> y, whose classes
+    form a basis of Hom(x, y) modulo the nullhomotopic maps and the span of
+    the chain maps extra.
 
     basis[k] is chosen exactly when e_k is outside that span and
     e_0..e_{k-1}: a pivot of rref([null | I])."""
-    basis = chain_maps(x, y)
     if not basis:
         return []
+    x, y = basis[0].source, basis[0].target
     null = homotopy_span(x, y, basis)
     if extra:
         null = np.concatenate([null, coords_in_basis(basis, extra)], axis=1)
@@ -333,7 +334,7 @@ def classes_modulo(x: Complex, y: Complex, extra=()) -> list[ChainMap]:
 
 def hom_homotopy(x: Complex, y: Complex) -> list[ChainMap]:
     """Basis of chain maps modulo homotopy (class representatives)."""
-    return classes_modulo(x, y)
+    return classes_modulo(chain_maps(x, y))
 
 
 def is_nullhomotopic(f: ChainMap) -> bool:
@@ -347,7 +348,7 @@ def is_nullhomotopic(f: ChainMap) -> bool:
 
 # -- projective replacement -----------------------------------------------------
 
-def projective_replacement(x: Complex, cap: int = REPLACEMENT_SLACK):
+def projective_replacement(x: Complex):
     """A complex of projectives with a surjective quasi-isomorphism onto x.
 
     Built degree by degree from the top: each new term covers the pullback
@@ -386,7 +387,7 @@ def projective_replacement(x: Complex, cap: int = REPLACEMENT_SLACK):
             diffs[n] = compose(to_prev, eps)
         prev_term = p_term
         n -= 1
-        if n < bot - gl - cap:
+        if n < bot - gl - REPLACEMENT_SLACK:
             raise InfiniteGlobalDimension(
                 "projective replacement does not terminate")
     px = Complex(alg, terms, diffs, check=True)
@@ -395,17 +396,16 @@ def projective_replacement(x: Complex, cap: int = REPLACEMENT_SLACK):
     return px, qis
 
 
-def cached_replacement(x: Complex) -> Complex:
-    """projective_replacement(x)[0], computed once per encoding of x."""
-    return x.algebra.memo(("replacement", x.encode()),
-                          lambda: projective_replacement(x)[0])
-
-
 def derived_hom_dim(x: Complex, y: Complex) -> int:
-    """dim Hom(x, y) in the derived category, computed once per pair of
-    encodings (through the cached replacement of x)."""
+    """dim Hom(x, y) in D^b(A), the classes of chain maps from the minimal
+    replacement of x to y.  Shift is an auto-equivalence, so it is computed
+    once per pair up to a common shift: the pair is keyed after the shift
+    that puts the top degree of x at 0."""
+    top = x.support[-1] if x.support else 0
+    if top:
+        x, y = shift(x, top), shift(y, top)
     return x.algebra.memo(("derived_hom", x.encode(), y.encode()),
-                          lambda: len(hom_homotopy(cached_replacement(x), y)))
+                          lambda: len(hom_homotopy(minimal_replacement(x), y)))
 
 
 def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
@@ -413,12 +413,6 @@ def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
     if d is not None:
         return d
     return rep.zero_map(term, rep.zero_module(term.algebra))
-
-
-def hom_in_derived(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of Hom in the derived category (via a projective replacement
-    of the source; the algebra has finite global dimension)."""
-    return hom_homotopy(cached_replacement(x), y)
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
@@ -514,8 +508,14 @@ def minimize_complex(x: Complex) -> Complex:
 
 
 def minimal_replacement(x: Complex) -> Complex:
-    """The minimized projective replacement of x, computed once per encoding
-    of x; shared, so never mutate it."""
+    """The minimized projective replacement of x.  The replacement of x[s]
+    is that of x shifted by s, so it is computed once per complex up to
+    shift: x is keyed after the shift that puts its top degree at 0, and
+    the stored complex is shifted back.  Its terms are shared, so never
+    mutate it."""
+    top = x.support[-1] if x.support else 0
+    if top:
+        return shift(minimal_replacement(shift(x, top)), -top)
     return x.algebra.memo(
         ("minimal", x.encode()),
         lambda: minimize_complex(projective_replacement(x)[0]))

@@ -84,28 +84,28 @@ def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     return total, epi
 
 
-def minimal_projective_resolution(m: Module, cap: int = RESOLUTION_CAP):
+def minimal_projective_resolution(m: Module):
     """Returns (terms, diffs, eps): ... -> P_1 -> P_0 -eps-> M -> 0.
 
     diffs[i] is the map P_{i+1} -> P_i; terms stop at the first zero kernel.
-    Computed once per encoding of m and cap; every call gets fresh lists,
+    Computed once per encoding of m; every call gets fresh lists,
     and eps lands in the given m.
     """
-    terms, diffs, eps = m.algebra.memo(("resolution", m.encode(), cap),
-                                       lambda: _resolve(m, cap))
+    terms, diffs, eps = m.algebra.memo(("resolution", m.encode()),
+                                       lambda: _resolve(m))
     return list(terms), list(diffs), ModuleMap(eps.source, m, eps.blocks,
                                                check=False)
 
 
-def _resolve(m: Module, cap: int):
+def _resolve(m: Module):
     terms, diffs = [], []
     p0, eps = projective_cover(m)
     terms.append(p0)
     current_ker, current_incl = rep.kernel(eps)
     while current_ker.total_dim > 0:
-        if len(terms) > cap:
+        if len(terms) > RESOLUTION_CAP:
             raise InfiniteGlobalDimension(
-                f"projective resolution exceeds {cap} terms")
+                f"projective resolution exceeds {RESOLUTION_CAP} terms")
         pn, cover = projective_cover(current_ker)
         diffs.append(compose(current_incl, cover))
         terms.append(pn)
@@ -113,21 +113,21 @@ def _resolve(m: Module, cap: int):
     return terms, diffs, eps
 
 
-def projective_dimension(m: Module, cap: int = RESOLUTION_CAP) -> int:
+def projective_dimension(m: Module) -> int:
     if m.total_dim == 0:
         return -1
-    terms, _, _ = minimal_projective_resolution(m, cap)
+    terms, _, _ = minimal_projective_resolution(m)
     return len(terms) - 1
 
 
-def global_dimension(alg: BoundQuiverAlgebra, cap: int = RESOLUTION_CAP) -> int:
-    """gl.dim A from the resolutions of the simples, computed once per cap."""
-    return alg.memo(("global_dimension", cap), lambda: max(
-        projective_dimension(rep.simple(alg, v), cap)
+def global_dimension(alg: BoundQuiverAlgebra) -> int:
+    """gl.dim A from the resolutions of the simples, computed once."""
+    return alg.memo("global_dimension", lambda: max(
+        projective_dimension(rep.simple(alg, v))
         for v in alg.quiver.vertices))
 
 
-def injective_coresolution(m: Module, cap: int = RESOLUTION_CAP):
+def injective_coresolution(m: Module):
     """Returns (terms, diffs, unit): 0 -> M -unit-> I^0 -> I^1 -> ...
 
     Computed by dualizing a minimal projective resolution over the
@@ -136,7 +136,7 @@ def injective_coresolution(m: Module, cap: int = RESOLUTION_CAP):
     alg = m.algebra
     op = rep.opposite_of(alg)
     dm = rep.dual_module(m, op)
-    terms, diffs, eps = minimal_projective_resolution(dm, cap)
+    terms, diffs, eps = minimal_projective_resolution(dm)
     # dualizing flips all arrows: transpose every block
     inj = [rep.dual_module(t, alg) for t in terms]
 
@@ -170,48 +170,46 @@ def _hom_cohomology_dims(homs: list, coboundary, p: int) -> list:
             in zip(homs, [0] + ranks, ranks + [0])]
 
 
-def ext_dim(x: Module, y: Module, i: int, cap: int = RESOLUTION_CAP) -> int:
+def ext_dim(x: Module, y: Module, i: int) -> int:
     """dim Ext^i(x, y) from a minimal projective resolution of x.
 
     Every degree is computed at once, from one complex Hom(P_*, y), once
-    per encoding of x and y and cap."""
+    per encoding of x and y."""
     if i < 0 or x.total_dim == 0 or y.total_dim == 0:
         return 0
-    dims = x.algebra.memo(("ext_dims", x.encode(), y.encode(), cap),
-                          lambda: _ext_dims(x, y, cap))
+    dims = x.algebra.memo(("ext_dims", x.encode(), y.encode()),
+                          lambda: _ext_dims(x, y))
     return dims[i] if i < len(dims) else 0
 
 
-def _ext_dims(x: Module, y: Module, cap: int) -> list:
-    terms, diffs, _ = minimal_projective_resolution(x, cap)
+def _ext_dims(x: Module, y: Module) -> list:
+    terms, diffs, _ = minimal_projective_resolution(x)
     # Hom(P_j, y) -> Hom(P_{j+1}, y) precomposes with d: P_{j+1} -> P_j
     return _hom_cohomology_dims([rep.hom_space(t, y) for t in terms],
                                 lambda j, f: compose(f, diffs[j]), x.p)
 
 
-def ext_dim_via_injectives(x: Module, y: Module, i: int,
-                           cap: int = RESOLUTION_CAP) -> int:
+def ext_dim_via_injectives(x: Module, y: Module, i: int) -> int:
     """Independent route: dim Ext^i(x, y) from an injective coresolution of
     y, every degree from one complex Hom(x, I^*), once per encoding of x
-    and y and cap."""
+    and y."""
     if i < 0 or x.total_dim == 0 or y.total_dim == 0:
         return 0
-    dims = x.algebra.memo(("ext_dims_inj", x.encode(), y.encode(), cap),
-                          lambda: _ext_dims_via_injectives(x, y, cap))
+    dims = x.algebra.memo(("ext_dims_inj", x.encode(), y.encode()),
+                          lambda: _ext_dims_via_injectives(x, y))
     return dims[i] if i < len(dims) else 0
 
 
-def _ext_dims_via_injectives(x: Module, y: Module, cap: int) -> list:
-    terms, diffs, _ = injective_coresolution(y, cap)
+def _ext_dims_via_injectives(x: Module, y: Module) -> list:
+    terms, diffs, _ = injective_coresolution(y)
     # Hom(x, I^j) -> Hom(x, I^{j+1}) postcomposes with d: I^j -> I^{j+1}
     return _hom_cohomology_dims([rep.hom_space(x, t) for t in terms],
                                 lambda j, f: compose(diffs[j], f), x.p)
 
 
-def ext_dim_checked(x: Module, y: Module, i: int,
-                    cap: int = RESOLUTION_CAP) -> int:
-    a = ext_dim(x, y, i, cap)
-    b = ext_dim_via_injectives(x, y, i, cap)
+def ext_dim_checked(x: Module, y: Module, i: int) -> int:
+    a = ext_dim(x, y, i)
+    b = ext_dim_via_injectives(x, y, i)
     if a != b:
         raise InternalInconsistency(
             f"Ext^{i} disagrees between resolutions: {a} vs {b}")
@@ -293,8 +291,7 @@ def _arrow_product(arrows: tuple, arrow_matrices: dict, p: int) -> np.ndarray:
     return out
 
 
-def endomorphism_algebra(t: Module,
-                         label_base: int | None = None) -> EndomorphismData:
+def endomorphism_algebra(t: Module) -> EndomorphismData:
     """Present End(t) of a basic module as a bound quiver algebra."""
     alg = t.algebra
     p = alg.p
@@ -360,7 +357,7 @@ def endomorphism_algebra(t: Module,
         pick = ready[0] if ready else min(remaining)
         order.append(pick)
         remaining.discard(pick)
-    base = (max(alg.quiver.vertices) + 1) if label_base is None else label_base
+    base = max(alg.quiver.vertices) + 1
     label_of = {pos: base + k for k, pos in enumerate(order)}
 
     arrow_list = []
@@ -468,21 +465,20 @@ def hom_induced_map(data: EndomorphismData, src: TransportedModule,
                                           tgt.module, tgt.bases, phi)
 
 
-def ext_as_b_module(data: EndomorphismData, x: Module, i: int,
-                    cap: int = RESOLUTION_CAP) -> Module:
+def ext_as_b_module(data: EndomorphismData, x: Module, i: int) -> Module:
     """Ext^i_A(T, x) as a B-module, from an injective coresolution of x.
 
-    Every degree is computed at once, once per encoding of x and cap; the
+    Every degree is computed at once, once per encoding of x; the
     returned module is shared, so never mutate it."""
     # B is built afresh for every End(T), so its memo already names T.
-    exts = data.b.memo(("ext", x.encode(), cap),
-                       lambda: _ext_modules(data, x, cap))
+    exts = data.b.memo(("ext", x.encode()),
+                       lambda: _ext_modules(data, x))
     return exts[i] if 0 <= i < len(exts) else rep.zero_module(data.b)
 
 
-def _ext_modules(data: EndomorphismData, x: Module, cap: int) -> list:
+def _ext_modules(data: EndomorphismData, x: Module) -> list:
     """Every Ext^j(T, x): the cohomology of Hom(T, I^*) for one coresolution."""
-    terms, diffs, _ = injective_coresolution(x, cap)
+    terms, diffs, _ = injective_coresolution(x)
     homs = [hom_as_b_module(data, term) for term in terms]
     maps = [hom_induced_map(data, homs[k], homs[k + 1], d)
             for k, d in enumerate(diffs)]
@@ -542,21 +538,20 @@ def tensor_induced_map(data: EndomorphismData, src: TransportedModule,
                                           tgt.module, tgt.bases, phi)
 
 
-def tor_over_b(data: EndomorphismData, n: Module, i: int,
-               cap: int = RESOLUTION_CAP) -> Module:
+def tor_over_b(data: EndomorphismData, n: Module, i: int) -> Module:
     """Tor_i^B(T, n) as an A-module.
 
-    Every degree is computed at once, once per encoding of n and cap; the
+    Every degree is computed at once, once per encoding of n; the
     returned module is shared, so never mutate it."""
     # n.algebra is B, built afresh for every End(T), so its memo names T.
-    tors = n.algebra.memo(("tor", n.encode(), cap),
-                          lambda: _tor_modules(data, n, cap))
+    tors = n.algebra.memo(("tor", n.encode()),
+                          lambda: _tor_modules(data, n))
     return tors[i] if 0 <= i < len(tors) else rep.zero_module(data.t.algebra)
 
 
-def _tor_modules(data: EndomorphismData, n: Module, cap: int) -> list:
+def _tor_modules(data: EndomorphismData, n: Module) -> list:
     """Every Tor_i^B(T, n): the homology of T (x)_B P_* for one resolution."""
-    terms, diffs, _ = minimal_projective_resolution(n, cap)
+    terms, diffs, _ = minimal_projective_resolution(n)
     tens = [tensor_over_b(data, term) for term in terms]
     maps = [tensor_induced_map(data, tens[k + 1], tens[k], d)
             for k, d in enumerate(diffs)]

@@ -19,6 +19,9 @@ from .homology import (endomorphism_algebra,
                        tor_over_b)
 from .rep import Module, ModuleMap, compose
 
+# total dimension of the extra class members in a kernel/cokernel witness
+WITNESS_SLACK = 4
+
 
 @dataclass
 class TiltingCertificate:
@@ -152,37 +155,26 @@ class TiltingContext:
     enumerated indecomposable universe used by the filtration searches."""
 
     def __init__(self, t: Module, n: int, dim_bound: int = 4,
-                 cap: int = rep.END_ENUM_CAP, slack: int = 4):
+                 cap: int = rep.END_ENUM_CAP):
         self.t = t
         self.n = n
         self.cap = cap
-        self.slack = slack
         self.dim_bound = dim_bound
         self.certificate = check_classical_tilting(t, n)
         self.data = endomorphism_algebra(t)
-        self._indecs = None
-        self._rep_finite = None
-        self._ext_rows = {}
 
     @property
     def indecomposables(self) -> list[Module]:
-        if self._indecs is None:
-            self._rep_finite, self._indecs = rep.is_representation_finite(
-                self.t.algebra, self.dim_bound, self.cap)
-        return self._indecs
+        return rep.enumerate_indecomposable_modules(
+            self.t.algebra, self.dim_bound, self.cap)
 
     @property
     def representation_finite(self) -> bool:
-        self.indecomposables
-        return self._rep_finite
+        return rep.is_representation_finite(
+            self.t.algebra, self.dim_bound, self.cap)[0]
 
     def ext_row(self, x: Module) -> tuple:
-        key = x.encode()
-        row = self._ext_rows.get(key)
-        if row is None:
-            row = tuple(ext_profile(self.t, x, self.n))
-            self._ext_rows[key] = row
-        return row
+        return tuple(ext_profile(self.t, x, self.n))
 
     def ke_members(self, e: int) -> list[Module]:
         out = []
@@ -194,10 +186,8 @@ class TiltingContext:
 
     def torsion_class_generators(self, i: int) -> list[Module]:
         """Indecomposables of the i-th torsion class (Ext^j = 0 for j >= i)."""
-        if i > self.n:
-            return list(self.indecomposables)
         return [m for m in self.indecomposables
-                if not any(self.ext_row(m)[j] for j in range(i, self.n + 1))]
+                if not any(self.ext_row(m)[i:])]
 
 
 def is_sequentially_static(ctx: TiltingContext, m: Module):
@@ -375,7 +365,7 @@ def _base_class_witness(ctx: TiltingContext, f: Module, kind: int):
         small, big = ke2, ke0
     else:
         small, big = ke0, ke2
-    for extra_parts in _sums_with_dim_bound(small, ctx.slack):
+    for extra_parts in _sums_with_dim_bound(small, WITNESS_SLACK):
         extra = _sum_or_zero(alg, extra_parts)
         dv = tuple(extra.dim_vector()[i] + f.dim_vector()[i]
                    for i in range(len(f.dim_vector())))
@@ -465,7 +455,7 @@ def jms_filtration(ctx: TiltingContext, x: Module) -> Filtration:
         memo = {}
         if not _in_extension_closure(f, base_test, memo):
             raise WitnessSearchExhausted(
-                f"no bounded witness for factor {i} (slack {ctx.slack})")
+                f"no bounded witness for factor {i} (slack {WITNESS_SLACK})")
         witnesses.append(("extension-closure", found.get(f.encode())))
     return Filtration(x, chain.inclusions, chain.factors,
                       ["E_0", "E_1", "E_2"], witnesses)
@@ -480,12 +470,9 @@ def ke_membership_via_aisle(ctx: TiltingContext, x: Module, e: int) -> bool:
     gl = global_dimension(ctx.t.algebra)
     t_cplx = derived.stalk_complex(ctx.t, 0)
     x_cplx = derived.stalk_complex(x, 0)
-    via_aisle = True
-    for i in range(e + 1, max(ctx.n, gl) + 1):
-        maps = derived.hom_in_derived(t_cplx, derived.shift(x_cplx, i))
-        if maps:
-            via_aisle = False
-            break
+    via_aisle = not any(derived.derived_hom_dim(t_cplx,
+                                                derived.shift(x_cplx, i))
+                        for i in range(e + 1, max(ctx.n, gl) + 1))
     if via_ext != via_aisle:
         raise InternalInconsistency(
             f"Ext-vanishing ({via_ext}) and aisle membership ({via_aisle}) "

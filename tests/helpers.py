@@ -161,6 +161,13 @@ def is_derived_isomorphic_by_scan(x, y):
         derived.hom_homotopy(px, y), x.p, skip_zero=True))
 
 
+def derived_hom_dim_by_replacement(x, y) -> int:
+    """dim Hom(x, y) in D^b from the projective replacement of x itself,
+    with no minimization, no shift and no memo: the route keyed by the
+    exact encoding of x, kept as an oracle for derived.derived_hom_dim."""
+    return len(derived.hom_homotopy(derived.projective_replacement(x)[0], y))
+
+
 def in_additive_closure_by_decomposition(wb, x, keys, extra_shift) -> bool:
     """Whether every Krull-Schmidt summand of x in D^b is isomorphic to some
     wb.member(k)[extra_shift]: the decomposition-based test, kept as an
@@ -191,7 +198,7 @@ def torsion_decompose_by_search(wb, x, i, s):
         for m, c in zip(members, counts):
             summands.extend([m] * c)
         u, _ = derived.direct_sum_complexes(summands)
-        classes = derived.hom_homotopy(derived.cached_replacement(u), x)
+        classes = derived.hom_homotopy(derived.minimal_replacement(u), x)
         for f in rep.all_maps(classes, wb.algebra.p, skip_zero=True,
                               cap=wb.cap):
             cone = derived.cone(f)

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tiltlab import algebra, cli, derived, gf, homology, rep
 from tiltlab.errors import SearchExhausted
 
-from helpers import has_invertible_component, has_projective_terms
+from helpers import (derived_hom_dim_by_replacement, has_invertible_component,
+                     has_projective_terms)
 
 
 @pytest.fixture(scope="module")
@@ -115,17 +116,17 @@ def test_derived_hom_matches_ext(tilt, mods, a3):
     tc = stalk(tilt)
     for name in ("1", "2", "3", "12", "23"):
         for i in range(4):
-            d = len(derived.hom_in_derived(
-                tc, derived.shift(stalk(mods[name]), i)))
+            d = derived.derived_hom_dim(
+                tc, derived.shift(stalk(mods[name]), i))
             assert d == homology.ext_dim(tilt, mods[name], i), (name, i)
 
 
 def test_derived_hom_shift_detection(tilt, mods):
     tc = stalk(tilt)
-    assert len(derived.hom_in_derived(
-        tc, derived.shift(stalk(mods["3"]), 1))) == 0
-    assert len(derived.hom_in_derived(
-        tc, derived.shift(stalk(mods["3"]), 2))) == 1
+    assert derived.derived_hom_dim(
+        tc, derived.shift(stalk(mods["3"]), 1)) == 0
+    assert derived.derived_hom_dim(
+        tc, derived.shift(stalk(mods["3"]), 2)) == 1
 
 
 def test_nullhomotopy_detection(mods):
@@ -346,9 +347,9 @@ def test_running_example_enumeration_replaces_each_candidate_once(
     calls = []
     original = derived.projective_replacement
 
-    def counted(x, *args):
+    def counted(x):
         calls.append(x)
-        return original(x, *args)
+        return original(x)
 
     monkeypatch.setattr(derived, "projective_replacement", counted)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
@@ -356,6 +357,46 @@ def test_running_example_enumeration_replaces_each_candidate_once(
         assert cli.main(["derived-indec", bundled]) == 0
     # 28 while record and the deduplication replaced again
     assert len(calls) == 14
+
+
+@pytest.fixture(scope="module")
+def universes(a3):
+    """The enumerated universes of the running example and of the path
+    algebra of linear A3."""
+    hereditary = algebra.build_algebra(a3.quiver, [], 2)
+    return [derived.enumerate_indecomposable_complexes(alg, 2, 4)
+            for alg in (a3, hereditary)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_derived_hom_dim_matches_the_unshifted_replacement(universes, data):
+    universe = data.draw(st.sampled_from(universes))
+    u, v = data.draw(st.sampled_from(universe)), \
+        data.draw(st.sampled_from(universe))
+    x = derived.shift(u, data.draw(st.integers(-2, 2)))
+    y = derived.shift(v, data.draw(st.integers(-2, 2)))
+    assert derived.derived_hom_dim(x, y) == \
+        derived_hom_dim_by_replacement(x, y)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_minimal_replacement_of_a_shift_is_the_shifted_replacement(
+        universes, data):
+    x = data.draw(st.sampled_from(data.draw(st.sampled_from(universes))))
+    s = data.draw(st.integers(-3, 3))
+    xs = derived.shift(x, s)
+    mxs = derived.minimal_replacement(xs)
+    assert derived.cohomology_profile(mxs) == {
+        n - s: h for n, h in derived.cohomology_profile(x).items()}
+    assert has_projective_terms(mxs)
+    assert not any(has_invertible_component(d) for d in mxs.diffs.values())
+    # universe objects are indecomposable, so _minimal_iso decides
+    for other in (derived.shift(derived.minimal_replacement(x), s),
+                  derived.minimize_complex(
+                      derived.projective_replacement(xs)[0])):
+        assert derived._minimal_iso(mxs, other) is not None
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -417,9 +458,9 @@ def test_enumeration_computes_global_dimension_once(monkeypatch):
     calls = []
     original = homology.projective_dimension
 
-    def counted(m, cap=homology.RESOLUTION_CAP):
+    def counted(m):
         calls.append(m.dim_vector())
-        return original(m, cap)
+        return original(m)
 
     monkeypatch.setattr(homology, "projective_dimension", counted)
     derived.enumerate_indecomposable_complexes(fresh, 2, 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tiltlab.algebra import build_algebra, make_quiver
 from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
-from tiltlab.errors import NotBasic
+from tiltlab.errors import InfiniteGlobalDimension, NotBasic
 
 from helpers import change_of_basis, presentations_match
 
@@ -283,10 +283,10 @@ def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
     seen = {}
     resolve = hl._resolve
 
-    def counted(m, cap):
-        key = (id(m.algebra), m.encode(), cap)
+    def counted(m):
+        key = (id(m.algebra), m.encode())
         seen[key] = seen.get(key, 0) + 1
-        return resolve(m, cap)
+        return resolve(m)
 
     monkeypatch.setattr(hl, "_resolve", counted)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
@@ -343,15 +343,24 @@ def test_endomorphism_algebra_builds_each_hom_space_once(capsys,
     assert len(seen) == 10 and max(seen.values()) == 1
 
 
+def test_a_periodic_resolution_is_refused_at_the_cap():
+    # the 2-cycle with rad^2 = 0: S_1 <- P_1 <- P_2 <- P_1 <- ... never ends
+    q = make_quiver([1, 2], [("a", 1, 2), ("b", 2, 1)])
+    alg = build_algebra(q, ["a*b", "b*a"], p=2)
+    with pytest.raises(InfiniteGlobalDimension,
+                       match=f"exceeds {hl.RESOLUTION_CAP} terms"):
+        hl.projective_dimension(rep.simple(alg, 1))
+
+
 # -- the per-degree computations as they were before the memo, as an oracle ----
 
-def _resolution_per_call(m, cap=hl.RESOLUTION_CAP):
+def _resolution_per_call(m):
     terms, diffs = [], []
     p0, eps = hl.projective_cover(m)
     terms.append(p0)
     ker, incl = rep.kernel(eps)
     while ker.total_dim > 0:
-        assert len(terms) <= cap
+        assert len(terms) <= hl.RESOLUTION_CAP
         pn, cover = hl.projective_cover(ker)
         diffs.append(rep.compose(incl, cover))
         terms.append(pn)

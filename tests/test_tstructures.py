@@ -1,5 +1,6 @@
 """t-structures, hearts and t-trees over the three-vertex running algebra."""
 
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -184,7 +185,7 @@ def assert_hom_bijective(wb, f, x, i, s):
     map, and the dimensions agree."""
     for k in wb.heart_torsion_pair(i)[0]:
         m = derived.shift(wb.member(k), -s)
-        gs = derived.hom_homotopy(derived.cached_replacement(m), f.source)
+        gs = derived.hom_homotopy(derived.minimal_replacement(m), f.source)
         assert len(gs) == derived.derived_hom_dim(m, x)
         for g in rep.all_maps(gs, wb.algebra.p, skip_zero=True):
             assert not derived.is_nullhomotopic(derived.compose_chain(f, g))
@@ -371,3 +372,65 @@ def test_requires_representation_finite(a3):
     ctx = tilting.TiltingContext(t, 0, dim_bound=3)
     with pytest.raises(ModeUnsupported):
         tstructures.DerivedWorkbench(ctx)
+
+
+def test_running_session_replaces_each_shift_class_once(monkeypatch):
+    calls = {}
+    original = derived.projective_replacement
+
+    def counted(x):
+        # the shift class of x: x shifted so that its top degree is 0
+        key = derived.shift(x, max(x.support, default=0)).encode()
+        calls[key] = calls.get(key, 0) + 1
+        return original(x)
+
+    monkeypatch.setattr(derived, "projective_replacement", counted)
+    ws = cli.parse_workspace(
+        str(resources.files("tiltlab").joinpath("data/running.tilt")))
+    wb = tstructures.DerivedWorkbench(tilting.TiltingContext(
+        ws.module("T"), 2))
+    for i in range(wb.n + 1):
+        wb.heart_members(i)
+    for name in ws.modules:
+        wb.t_tree(ws.module(name))
+    assert all(ok for ok, _ in wb.verify_structural_claims().values())
+    # 73 calls on 17 classes when replacements were keyed by encoding
+    assert calls and max(calls.values()) == 1
+
+
+A4_DA = """\
+tiltlab-format 1
+
+[algebra]
+vertices 1 2 3 4
+field 2
+arrow a: 1 -> 2
+arrow b: 2 -> 3
+arrow c: 3 -> 4
+relation a*b
+relation b*c
+
+# D(A) = I_1 + I_2 + I_3 + I_4, 3-tilting
+[module T]
+dims 1:2 2:2 3:2 4:1
+map a [[0,1],[0,0]]
+map b [[0,1],[0,0]]
+map c [[0,1]]
+"""
+
+
+def test_verify_on_a_three_tilting_module(tmp_path, capsys):
+    path = tmp_path / "a4_da.tilt"
+    path.write_text(A4_DA)
+    assert cli.main(["verify", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # the object that Ext^1 flagged: in the aisle, with Ext^1(T, H^0) != 0
+    ws = cli.parse_workspace(str(path))
+    wb = tstructures.DerivedWorkbench(tilting.TiltingContext(
+        ws.module("T"), 3))
+    s2, s4 = (0, 1, 0, 0), (0, 0, 0, 1)
+    flagged = [o for o in wb.shifted_universe()
+               if profile(o) == {-1: s4, 0: s2}]
+    assert flagged and all(wb.tilting_structure.in_aisle(o, 0)
+                           for o in flagged)
+    assert wb.ctx.ext_row(derived.cohomology(flagged[0], 0))[1]
