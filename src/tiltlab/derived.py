@@ -605,88 +605,89 @@ def _picks_within(sizes: list[int], width: int, budget: int):
                 yield (k,) + rest
 
 
-def _part_blocks(combo, diffs: dict) -> dict:
-    """The differentials of an enumeration candidate, read between parts.
-
-    Term i is rep.direct_sum(combo[i]), so part a of term i sits at the same
-    offsets at every vertex.  Returns the nonzero components as
-    {(i, a, b): {vertex: block}}, the component of diffs[i] from part a of
-    term i to part b of term i + 1."""
-    offsets = []
-    for parts in combo:
-        start = dict.fromkeys(parts[0].vertex_order, 0)
-        offsets.append([])
-        for m in parts:
-            offsets[-1].append({v: slice(start[v], start[v] + m.dims[v])
-                                for v in start})
-            for v in start:
-                start[v] += m.dims[v]
-    blocks = {}
-    for i, d in diffs.items():
-        for a, cols in enumerate(offsets[i]):
-            for b, rows in enumerate(offsets[i + 1]):
-                block = {v: d.blocks[v][rows[v], cols[v]] for v in d.blocks}
-                if any(x.any() for x in block.values()):
-                    blocks[i, a, b] = block
-    return blocks
+def _radical_maps(m: Module, n: Module, cap: int):
+    """(dim, nonzero, normalized) for rad(m, n), m and n knitted
+    indecomposables: all of Hom(m, n) when they differ, rad End(m) when
+    they are the same module (gf.local_ring).  nonzero lists the total
+    matrices of the nonzero maps, coefficient vectors over a basis in
+    product order, and normalized those whose first nonzero coefficient is
+    1; past the cap both are None."""
+    basis = [f.total() for f in rep.hom_space(m, n)]
+    if m is n:
+        basis = gf.local_ring(basis, m.p)[1]
+    if m.p ** len(basis) > cap:
+        return len(basis), None, None
+    vecs = [c for c in product(range(m.p), repeat=len(basis)) if any(c)]
+    mats = [sum(c * b for c, b in zip(v, basis)) % m.p for v in vecs]
+    return len(basis), mats, [f for v, f in zip(vecs, mats)
+                              if next(c for c in v if c) == 1]
 
 
-def _has_invertible_block(blocks: dict, p: int) -> bool:
-    """Whether a differential has an invertible component.  The parts are
-    indecomposable, so this holds exactly when the differential lies outside
-    the radical, whatever decomposition of the terms is used (ARS V.7)."""
-    return any(all(gf.is_invertible(x, p) for x in block.values())
-               for block in blocks.values())
-
-
-def _visibly_splits(alg, combo, blocks: dict) -> bool:
-    """Whether the candidate is a direct sum of two subcomplexes that are
-    both nonzero in D^b, so decomposable.  Parts joined by a nonzero block
-    form the groups of a block-diagonal splitting; a one-part group is a
-    stalk of a nonzero module, and a longer one may be acyclic (an exact
-    sequence of parts), so its cohomology is checked."""
-    leader = {(i, a): (i, a)
-              for i, parts in enumerate(combo) for a in range(len(parts))}
+def _spanning_tree(sizes: list, keys: list):
+    """Positions in keys of a spanning tree, taken greedily in order, of the
+    graph on the parts (i, a), a < sizes[i], with an edge from (i, a) to
+    (i + 1, b) for each (i, a, b) in keys; None if it is disconnected."""
+    leader = {(i, a): (i, a) for i, n in enumerate(sizes) for a in range(n)}
 
     def root(node):
         while leader[node] != node:
             node = leader[node]
         return node
 
-    for i, a, b in blocks:
-        leader[root((i, a))] = root((i + 1, b))
-    groups = {}
-    for node in leader:
-        groups.setdefault(root(node), []).append(node)
-    nonzero = 0
-    for nodes in sorted(groups.values(), key=len):
-        if len(nodes) == 1 or not is_zero_in_derived(
-                _group_complex(alg, combo, blocks, nodes)):
-            nonzero += 1
-            if nonzero == 2:
-                return True
-    return False
+    tree = []
+    for k, (i, a, b) in enumerate(keys):
+        r, s = root((i, a)), root((i + 1, b))
+        if r != s:
+            leader[r] = s
+            tree.append(k)
+    return tree if len(tree) == len(leader) - 1 else None
 
 
-def _group_complex(alg, combo, blocks: dict, nodes: list) -> Complex:
-    """The subcomplex on a group of parts, each term the direct sum of the
-    group's parts in that degree."""
-    index = {}
-    for i, a in sorted(nodes):
-        index.setdefault(i, []).append(a)
-    sums = {i: rep.direct_sum([combo[i][a] for a in idx])
-            for i, idx in index.items()}
+def _candidate_blocks(sizes: list, edges: list, p: int):
+    """The radical, connected differentials with d o d = 0 on terms of
+    sizes[i] parts, one per orbit of the part rescalings, each as
+    {(i, a, b): total matrix of the nonzero block from part a of term i to
+    part b of term i + 1}.  edges holds (key, dim, nonzero, normalized)
+    from _radical_maps for each pair of parts with a nonzero radical.
+
+    The pattern of nonzero blocks is chosen first and must connect every
+    part.  Scaling part x by a unit l_x is a chain isomorphism: it turns
+    the block from x to y into l_y l_x^-1 times it and keeps the pattern.
+    On a spanning tree of the pattern the units reach any unit on each
+    tree block (root the tree and solve outwards), so every orbit holds a
+    differential whose tree blocks have first nonzero coefficient 1.  Two
+    such differentials in one orbit differ by units with l_x = l_y along
+    every tree block, constant on the connected pattern, and a constant
+    acts trivially: they are equal."""
+    for pattern in product((False, True), repeat=len(edges)):
+        chosen = [e for e, on in zip(edges, pattern) if on]
+        keys = [e[0] for e in chosen]
+        tree = _spanning_tree(sizes, keys)
+        if tree is None:
+            continue
+        paths = {}   # (i, a, c) -> positions of the blocks a -> b -> c
+        for k, (i, a, b) in enumerate(keys):
+            for l, (j, b2, c) in enumerate(keys):
+                if (j, b2) == (i + 1, b):
+                    paths.setdefault((i, a, c), []).append((k, l))
+        for mats in product(*(e[3] if k in tree else e[2]
+                              for k, e in enumerate(chosen))):
+            if not any((sum(mats[l] @ mats[k] for k, l in kl) % p).any()
+                       for kl in paths.values()):
+                yield dict(zip(keys, mats))
+
+
+def _group_complex(alg, combo, blocks: dict) -> Complex:
+    """The candidate whose term i is the direct sum of the parts combo[i]
+    and whose block from part a of term i to part b of term i + 1 has total
+    matrix blocks[i, a, b] (zero where absent)."""
+    sums = [rep.direct_sum(parts) for parts in combo]
     diffs = {}
     for (i, a, b), block in blocks.items():
-        if a not in index.get(i, ()):
-            continue
-        _, _, projs = sums[i]
-        _, incs, _ = sums[i + 1]
-        f = compose(incs[index[i + 1].index(b)], compose(
-            ModuleMap(combo[i][a], combo[i + 1][b], block, check=False),
-            projs[index[i].index(a)]))
+        f = compose(sums[i + 1][1][b], compose(ModuleMap.from_total(
+            combo[i][a], combo[i + 1][b], block), sums[i][2][a]))
         diffs[i] = diffs[i] + f if i in diffs else f
-    return Complex(alg, {i: s[0] for i, s in sums.items()}, diffs,
+    return Complex(alg, {i: s[0] for i, s in enumerate(sums)}, diffs,
                    check=False)
 
 
@@ -696,11 +697,23 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     isomorphism, with at most width_bound nonzero terms of total dimension
     at most dim_bound.
 
-    Complete for derived-discrete desk-scale inputs; deterministic order.
+    A candidate's terms are direct sums of knitted indecomposables, its
+    parts.  An object with such a representative has one whose blocks
+    between parts are radical and join all parts: cancelling an invertible
+    block leaves a homotopy-equivalent candidate with fewer parts, and a
+    map between indecomposables is invertible or radical
+    (Auslander-Reiten-Smalø V.7; Happel 1988); the groups of parts joined
+    by nonzero blocks split a candidate into subcomplexes, so an
+    indecomposable one is isomorphic to its one group that is not acyclic,
+    a candidate with fewer parts.  _candidate_blocks draws one candidate
+    per rescaling orbit, and cap bounds p^(radical coordinates) of each
+    choice of terms.  Complete for derived-discrete desk-scale inputs;
+    deterministic order.
     """
-    indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     from .tilting import _sums_with_dim_bound
+    indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     found = []   # (minimal replacement, candidate, cohomology profile)
+    radical = {}   # (M, N) -> _radical_maps(M, N, cap)
 
     def record(nx: Complex, prof: dict):
         # the minimal complex of projectives is K-projective, so it maps to
@@ -710,64 +723,32 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                    for other, _, oprof in found):
             found.append((mnx, nx, prof))
 
-    # each choice of a term's parts, with their direct sum built once
-    term_choices = [(parts, rep.direct_sum(list(parts))[0]
-                     if len(parts) > 1 else parts[0])
-                    for parts in _sums_with_dim_bound(indec_mods, dim_bound)
-                    if parts]
-    term_dims = [sum(m.total_dim for m in parts) for parts, _ in term_choices]
+    choices = [parts for parts in _sums_with_dim_bound(indec_mods, dim_bound)
+               if parts]
     for width in range(1, width_bound + 1):
-        for pick in _picks_within(term_dims, width, dim_bound):
-            combo = tuple(term_choices[k][0] for k in pick)
-            terms = {i: term_choices[k][1] for i, k in enumerate(pick)}
-            hom_bases = {i: rep.hom_space(terms[i], terms[i + 1])
-                         for i in range(width - 1)}
-            sizes = [len(hom_bases[i]) for i in range(width - 1)]
-            if alg.p ** sum(sizes) > cap:
+        for pick in _picks_within([sum(m.total_dim for m in parts)
+                                   for parts in choices], width, dim_bound):
+            combo = [choices[k] for k in pick]
+            edges = []
+            for i in range(width - 1):
+                for (a, m), (b, n) in product(enumerate(combo[i]),
+                                              enumerate(combo[i + 1])):
+                    if (m, n) not in radical:
+                        radical[m, n] = _radical_maps(m, n, cap)
+                    if radical[m, n][0]:
+                        edges.append(((i, a, b), *radical[m, n]))
+            sizes = [len(parts) for parts in combo]
+            if _spanning_tree(sizes, [e[0] for e in edges]) is None:
+                continue
+            coords = sum(e[1] for e in edges)
+            if alg.p ** coords > cap:
+                terms = [rep.direct_sum(parts)[0].dim_vector()
+                         for parts in combo]
                 raise SearchExhausted(
                     "derived enumeration: differentials of the complex with "
-                    f"terms {[terms[i].dim_vector() for i in range(width)]}: "
-                    f"{alg.p}^{sum(sizes)} exceeds cap {cap}")
-            for assignment in product(
-                    *(range(alg.p ** s) for s in sizes)):
-                diffs = {}
-                ok = True
-                for i in range(width - 1):
-                    code = assignment[i]
-                    f = rep.zero_map(terms[i], terms[i + 1])
-                    for k in range(sizes[i]):
-                        c = (code // (alg.p ** k)) % alg.p
-                        if c:
-                            f = f + hom_bases[i][k].scale(c)
-                    diffs[i] = f
-                    if width > 1 and i > 0:
-                        if not compose(diffs[i], diffs[i - 1]).is_zero():
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                # every term must matter: no zero row/column differentials
-                if width > 1:
-                    if diffs[0].is_zero() and width == 2:
-                        continue
-                    degenerate = False
-                    for i in range(width):
-                        outgoing = diffs.get(i)
-                        incoming = diffs.get(i - 1)
-                        if ((outgoing is None or outgoing.is_zero())
-                                and (incoming is None or incoming.is_zero())):
-                            degenerate = True
-                            break
-                    if degenerate:
-                        continue
-                blocks = _part_blocks(combo, diffs)
-                # an invertible component: homotopy-equivalent to a smaller
-                # candidate that the enumeration also visits
-                if _has_invertible_block(blocks, alg.p):
-                    continue
-                if _visibly_splits(alg, combo, blocks):
-                    continue
-                cand = Complex(alg, terms, diffs, check=False)
+                    f"terms {terms}: {alg.p}^{coords} exceeds cap {cap}")
+            for blocks in _candidate_blocks(sizes, edges, alg.p):
+                cand = _group_complex(alg, combo, blocks)
                 prof = cohomology_profile(cand)
                 if not prof:
                     continue

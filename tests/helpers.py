@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tiltlab import derived, gf, rep, tilting
 from tiltlab.errors import SearchExhausted
+from tiltlab.rep import ModuleMap, compose
 
 
 def presentations_match(a, b) -> bool:
@@ -251,3 +252,147 @@ def greedy_quotient_map(sub, n, p):
             basis = cand
     binv = gf.inverse(basis, p)
     return binv[k:, :], basis[:, k:]
+
+
+def part_blocks(combo, diffs: dict) -> dict:
+    """The differentials of a candidate whose term i is
+    rep.direct_sum(combo[i]), read between parts: part a of term i sits at
+    the same offsets at every vertex.  Returns the nonzero components as
+    {(i, a, b): {vertex: block}}, the component of diffs[i] from part a of
+    term i to part b of term i + 1."""
+    offsets = []
+    for parts in combo:
+        start = dict.fromkeys(parts[0].vertex_order, 0)
+        offsets.append([])
+        for m in parts:
+            offsets[-1].append({v: slice(start[v], start[v] + m.dims[v])
+                                for v in start})
+            for v in start:
+                start[v] += m.dims[v]
+    blocks = {}
+    for i, d in diffs.items():
+        for a, cols in enumerate(offsets[i]):
+            for b, rows in enumerate(offsets[i + 1]):
+                block = {v: d.blocks[v][rows[v], cols[v]] for v in d.blocks}
+                if any(x.any() for x in block.values()):
+                    blocks[i, a, b] = block
+    return blocks
+
+
+def has_invertible_block(blocks: dict, p: int) -> bool:
+    """Whether a differential has an invertible component between parts:
+    exactly when it lies outside the radical (ARS V.7)."""
+    return any(all(gf.is_invertible(x, p) for x in block.values())
+               for block in blocks.values())
+
+
+def group_complex(alg, combo, blocks: dict, nodes: list):
+    """The subcomplex of a candidate on a group of parts (i, a), each term
+    the direct sum of the group's parts in that degree."""
+    index = {}
+    for i, a in sorted(nodes):
+        index.setdefault(i, []).append(a)
+    sums = {i: rep.direct_sum([combo[i][a] for a in idx])
+            for i, idx in index.items()}
+    diffs = {}
+    for (i, a, b), block in blocks.items():
+        if a not in index.get(i, ()):
+            continue
+        _, _, projs = sums[i]
+        _, incs, _ = sums[i + 1]
+        f = compose(incs[index[i + 1].index(b)], compose(
+            ModuleMap(combo[i][a], combo[i + 1][b], block, check=False),
+            projs[index[i].index(a)]))
+        diffs[i] = diffs[i] + f if i in diffs else f
+    return derived.Complex(alg, {i: s[0] for i, s in sums.items()}, diffs,
+                           check=False)
+
+
+def visibly_splits(alg, combo, blocks: dict) -> bool:
+    """Whether the candidate is a direct sum of two subcomplexes that are
+    both nonzero in D^b: parts joined by a nonzero block form the groups of
+    a block-diagonal splitting; a one-part group is a stalk of a nonzero
+    module, and a longer one may be acyclic, so its cohomology is checked."""
+    leader = {(i, a): (i, a)
+              for i, parts in enumerate(combo) for a in range(len(parts))}
+
+    def root(node):
+        while leader[node] != node:
+            node = leader[node]
+        return node
+
+    for i, a, b in blocks:
+        leader[root((i, a))] = root((i + 1, b))
+    groups = {}
+    for node in leader:
+        groups.setdefault(root(node), []).append(node)
+    nonzero = 0
+    for nodes in sorted(groups.values(), key=len):
+        if len(nodes) == 1 or not derived.is_zero_in_derived(
+                group_complex(alg, combo, blocks, nodes)):
+            nonzero += 1
+            if nonzero == 2:
+                return True
+    return False
+
+
+def enumerate_by_full_hom(alg, width_bound: int, dim_bound: int,
+                          cap: int = rep.END_ENUM_CAP):
+    """The derived enumeration that draws each differential from the whole
+    Hom space between the direct sums and discards afterwards the
+    candidates with d o d != 0, an unused term, an invertible block or a
+    visible splitting: the full-Hom loop, kept as an oracle for
+    derived.enumerate_indecomposable_complexes.  Returns the found objects
+    in the same order as the enumeration."""
+    indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
+    found = []   # (minimal replacement, candidate, cohomology profile)
+    term_choices = [(parts, rep.direct_sum(list(parts))[0]
+                     if len(parts) > 1 else parts[0])
+                    for parts in tilting._sums_with_dim_bound(indec_mods,
+                                                              dim_bound)
+                    if parts]
+    term_dims = [sum(m.total_dim for m in parts) for parts, _ in term_choices]
+    p = alg.p
+    for width in range(1, width_bound + 1):
+        for pick in derived._picks_within(term_dims, width, dim_bound):
+            combo = tuple(term_choices[k][0] for k in pick)
+            terms = {i: term_choices[k][1] for i, k in enumerate(pick)}
+            bases = [rep.hom_space(terms[i], terms[i + 1])
+                     for i in range(width - 1)]
+            if p ** sum(map(len, bases)) > cap:
+                raise SearchExhausted("full-Hom enumeration exceeds its cap")
+            for coeffs in product(*(product(range(p), repeat=len(b))
+                                    for b in bases)):
+                diffs = {i: sum((f.scale(c) for c, f in zip(coeffs[i], b)),
+                                rep.zero_map(terms[i], terms[i + 1]))
+                         for i, b in enumerate(bases)}
+                if any(not compose(diffs[i], diffs[i - 1]).is_zero()
+                       for i in range(1, width - 1)):
+                    continue
+                # every term must meet a nonzero differential
+                if width > 1 and any(
+                        all(d.is_zero() for d in (diffs.get(i),
+                                                  diffs.get(i - 1)) if d)
+                        for i in range(width)):
+                    continue
+                blocks = part_blocks(combo, diffs)
+                if has_invertible_block(blocks, p) or \
+                        visibly_splits(alg, combo, blocks):
+                    continue
+                cand = derived.Complex(alg, terms, diffs, check=False)
+                prof = derived.cohomology_profile(cand)
+                if not prof:
+                    continue
+                top = max(prof)
+                nx = derived.shift(cand, top)
+                if not derived.is_indecomposable_complex(nx):
+                    continue
+                prof = {n - top: h for n, h in prof.items()}
+                mnx = derived.minimal_replacement(nx)
+                if not any(prof == oprof and
+                           derived._minimal_iso(mnx, other) is not None
+                           for other, _, oprof in found):
+                    found.append((mnx, nx, prof))
+    found.sort(key=lambda entry: (entry[0].width(), entry[0].total_dim(),
+                                  entry[0].encode()))
+    return [nx for _, nx, _ in found]

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltlab import algebra, cli, derived, gf, homology, rep
+from tiltlab import algebra, cli, derived, gf, homology, rep, tilting
 from tiltlab.errors import SearchExhausted
 
-from helpers import (derived_hom_dim_by_replacement, has_invertible_component,
-                     has_projective_terms)
+from helpers import (derived_hom_dim_by_replacement, enumerate_by_full_hom,
+                     has_invertible_block, has_invertible_component,
+                     has_projective_terms, part_blocks, visibly_splits)
 
 
 @pytest.fixture(scope="module")
@@ -243,27 +244,30 @@ def test_chain_maps_match_exhaustive_scan_on_resolutions(p):
             _check_chain_maps_by_scan(x, y)
 
 
+def _linear_a2():
+    return algebra.build_algebra(
+        algebra.make_quiver([1, 2], [("a", 1, 2)]), [], 2)
+
+
 def test_candidate_differential_refusal_names_its_size(monkeypatch):
-    k = algebra.build_algebra(algebra.make_quiver([1], []), [], 2)
-    # drop every candidate, so that the search reaches the first pair of
-    # terms whose differentials exceed the cap
+    # drop every candidate, so that the search reaches the first choice of
+    # terms whose radical coordinates exceed the cap: 2 (+) 2 -> 12
     monkeypatch.setattr(derived, "is_indecomposable_complex",
                         lambda x: False)
     with pytest.raises(SearchExhausted) as info:
-        derived.enumerate_indecomposable_complexes(k, 2, 3, cap=2)
+        derived.enumerate_indecomposable_complexes(_linear_a2(), 2, 4, cap=2)
     assert str(info.value) == (
         "derived enumeration: differentials of the complex with terms "
-        "[(1,), (2,)]: 2^2 exceeds cap 2")
+        "[(0, 2), (1, 1)]: 2^2 exceeds cap 2")
 
 
 def test_candidate_differential_cap_is_reached_unstubbed():
-    k = algebra.build_algebra(algebra.make_quiver([1], []), [], 2)
-    # the stalk 1 (+) 1 splits visibly, so nothing scans its End first
+    # the stalks need no coordinate; 2 -> 12 has one radical coordinate
     with pytest.raises(SearchExhausted) as info:
-        derived.enumerate_indecomposable_complexes(k, 2, 3, cap=2)
+        derived.enumerate_indecomposable_complexes(_linear_a2(), 2, 3, cap=1)
     assert str(info.value) == (
         "derived enumeration: differentials of the complex with terms "
-        "[(1,), (2,)]: 2^2 exceeds cap 2")
+        "[(0, 1), (1, 1)]: 2^1 exceeds cap 1")
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +301,8 @@ def _candidate(data, interval_modules):
 @given(data=st.data())
 def test_visible_split_is_a_decomposition(interval_modules, data):
     alg, combo, cand = _candidate(data, interval_modules)
-    blocks = derived._part_blocks(combo, cand.diffs)
-    if derived._visibly_splits(alg, combo, blocks):
+    blocks = part_blocks(combo, cand.diffs)
+    if visibly_splits(alg, combo, blocks):
         assert len(derived.decompose_complex(cand)) >= 2
 
 
@@ -307,8 +311,8 @@ def test_visible_split_is_a_decomposition(interval_modules, data):
 def test_invertible_block_matches_decomposition_oracle(interval_modules,
                                                        data):
     alg, combo, cand = _candidate(data, interval_modules)
-    blocks = derived._part_blocks(combo, cand.diffs)
-    assert derived._has_invertible_block(blocks, alg.p) == \
+    blocks = part_blocks(combo, cand.diffs)
+    assert has_invertible_block(blocks, alg.p) == \
         has_invertible_component(cand.diffs[0])
 
 
@@ -319,11 +323,92 @@ def test_acyclic_group_is_not_a_visible_summand(a3, mods):
              for i, parts in enumerate(combo)}
     diffs = {i: rep.hom_space(terms[i], terms[i + 1])[0] for i in (0, 1)}
     cand = derived.Complex(a3, terms, diffs)
-    blocks = derived._part_blocks(combo, diffs)
-    assert not derived._has_invertible_block(blocks, a3.p)
-    assert not derived._visibly_splits(a3, combo, blocks)
+    blocks = part_blocks(combo, diffs)
+    assert not has_invertible_block(blocks, a3.p)
+    assert not visibly_splits(a3, combo, blocks)
     assert derived.cohomology_profile(cand) == {0: (0, 0, 1)}
     assert derived.is_indecomposable_complex(cand)
+    # the enumeration skips the disconnected pattern and finds the stalk
+    assert derived._spanning_tree([2, 1, 1], sorted(blocks)) is None
+    assert any(derived.is_derived_isomorphic(cand, x) for x in
+               derived.enumerate_indecomposable_complexes(a3, 3, 4))
+
+
+def _enumeration_inputs():
+    """(algebra, width bound, dim bound): the running example, the
+    perfbench A4_DA and linear A3, at width 2 and at width 3."""
+    q3 = algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    q4 = algebra.make_quiver([1, 2, 3, 4],
+                             [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+    algs = [algebra.build_algebra(q, rels, p)
+            for q, rels in ((q3, ["a*b"]), (q3, []))
+            for p in (2, 3, 5)]
+    algs.append(algebra.build_algebra(q4, ["a*b", "b*c"], 2))
+    return [(alg, 2, 4) for alg in algs] + [(alg, 3, 3) for alg in algs]
+
+
+@settings(max_examples=14, derandomize=True, deadline=None)
+@given(st.sampled_from(_enumeration_inputs()))
+def test_radical_enumeration_matches_the_full_hom_oracle(case):
+    alg, width, dim = case
+    new = derived.enumerate_indecomposable_complexes(alg, width, dim)
+    old = enumerate_by_full_hom(alg, width, dim)
+    assert len(new) == len(old)
+    for x in new:
+        assert sum(derived.is_derived_isomorphic(x, y) for y in old) == 1
+
+
+def test_one_candidate_per_rescaling_orbit():
+    """Over F_5, every radical differential on a connected pattern of two
+    terms of total dimension at most 5, one of them with two or more parts,
+    is chain-isomorphic by rescaling the parts to exactly one candidate of
+    the enumeration."""
+    alg = algebra.build_algebra(
+        algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+        ["a*b"], 5)
+    p, indecs = alg.p, rep.enumerate_indecomposable_modules(alg, 4)
+    sums = [s for s in tilting._sums_with_dim_bound(indecs, 4) if s]
+    scanned = 0
+    for combo in product(sums, repeat=2):
+        if max(map(len, combo)) < 2 or \
+                sum(m.total_dim for parts in combo for m in parts) > 5:
+            continue
+        sizes = [len(parts) for parts in combo]
+        radical = {}   # every non-invertible map, by the exhaustive scan
+        for a, m in enumerate(combo[0]):
+            for b, n in enumerate(combo[1]):
+                maps = [f.total() for f in rep.all_maps(
+                    rep.hom_space(m, n), p, skip_zero=True) if not f.is_iso()]
+                if maps:
+                    radical[0, a, b] = maps
+        edges = [(key, None, *derived._radical_maps(
+            combo[0][key[1]], combo[1][key[2]], 10 ** 6)[1:])
+            for key in sorted(radical)]
+        reps = list(derived._candidate_blocks(sizes, edges, p))
+        for pattern in product((False, True), repeat=len(radical)):
+            keys = [k for k, on in zip(sorted(radical), pattern) if on]
+            if derived._spanning_tree(sizes, keys) is None:
+                continue
+            for mats in product(*(radical[k] for k in keys)):
+                scanned += 1
+                assert sum(_rescaled(dict(zip(keys, mats)), r, sizes, p)
+                           for r in reps) == 1
+    assert scanned == 416
+
+
+def _rescaled(d: dict, r: dict, sizes: list, p: int) -> bool:
+    """Whether units on the parts turn the blocks d into the blocks r: the
+    block from part a of term i to part b becomes l(i + 1, b) l(i, a)^-1
+    times itself."""
+    if d.keys() != r.keys():
+        return False
+    nodes = [(i, a) for i, n in enumerate(sizes) for a in range(n)]
+    for units in product(range(1, p), repeat=len(nodes)):
+        unit = dict(zip(nodes, units))
+        if all(np.array_equal(r[i, a, b], unit[i + 1, b] * pow(
+                unit[i, a], p - 2, p) * d[i, a, b] % p) for i, a, b in d):
+            return True
+    return False
 
 
 def test_running_example_enumeration_scans_few_candidates(monkeypatch):

@@ -50,11 +50,14 @@ CASES = {
     "derived-indec-dim5": ["derived-indec", "--dim-bound", "5"],
     "ttree-12x2_23": ["ttree", "--module", "12x2_23"],
     "ttree-T_2": ["ttree", "--module", "T_2"],
+    "derived-indec-f5": ["derived-indec", "--field", "5"],
+    "derived-indec-a4-w3": ["derived-indec", "--width-bound", "3"],
 }
 
 WORKSPACES = {
     "ttree-12x2_23": "sums.tilt",
     "ttree-T_2": "sums.tilt",
+    "derived-indec-a4-w3": "a4.tilt",
 }
 
 
