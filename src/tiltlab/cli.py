@@ -453,7 +453,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone when it names
+    one; the usage line lists every subcommand either way."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("workspace", help="path to a tiltlab workspace file")
     common.add_argument("--tilting", default="T",
@@ -472,7 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tiltlab",
         description="exact tilting-theory workbench over prime fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    if len(names) == 1:
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in names:
         p = sub.add_parser(name, parents=[common])
         if name in ("miyashita", "filtration", "ttree"):
             p.add_argument("--module", required=True,
@@ -484,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         ws = parse_workspace(args.workspace, field=args.field)
         report = COMMANDS[args.command](ws, args)

@@ -33,6 +33,7 @@ class Complex:
             if n in self.terms and (n + 1) in self.terms:
                 self.diffs[n] = d
         self.support = sorted(self.terms)
+        self._encoding = self._key = self._profile = None
         if check:
             self._check()
 
@@ -65,11 +66,28 @@ class Complex:
     def width(self) -> int:
         return len(self.terms)
 
+    def top(self) -> int:
+        return self.support[-1] if self.support else 0
+
     def encode(self) -> tuple:
-        return tuple((n, self.terms[n].encode(),
-                      tuple(self.diff(n).total().flatten().tolist())
-                      if n in self.diffs else ())
-                     for n in self.support)
+        """Terms and differentials degree by degree; computed once."""
+        if self._encoding is None:
+            self._encoding = tuple(
+                (n, self.terms[n].encode(),
+                 tuple(self.diffs[n].total().flatten().tolist())
+                 if n in self.diffs else ())
+                for n in self.support)
+        return self._encoding
+
+    def shift_key(self) -> tuple:
+        """The encoding of this complex shifted to top degree 0, the same for
+        all its shifts, sign included; computed once, passed on by shift."""
+        if self._key is None:
+            top, p = self.top(), self.p
+            self._key = tuple((n - top, m, tuple(-c % p for c in d)
+                               if top % 2 else d)
+                              for n, m, d in self.encode())
+        return self._key
 
     def __repr__(self):
         if not self.terms:
@@ -167,11 +185,17 @@ def zero_complex(algebra) -> Complex:
 
 
 def shift(x: Complex, k: int) -> Complex:
-    """(X[k])^n = X^{n+k}, differential scaled by (-1)^k."""
-    sign = 1 if k % 2 == 0 else -1
-    terms = {n - k: m for n, m in x.terms.items()}
-    diffs = {n - k: d.scale(sign) for n, d in x.diffs.items()}
-    return Complex(x.algebra, terms, diffs, check=False)
+    """(X[k])^n = X^{n+k}, differential scaled by (-1)^k.  X[k] carries the
+    shift-class key of x and its cohomology profile, if known, moved by k."""
+    if not k:
+        return x
+    y = Complex(x.algebra, {n - k: m for n, m in x.terms.items()},
+                {n - k: d.scale(-1) if k % 2 else d
+                 for n, d in x.diffs.items()}, check=False)
+    y._key = x.shift_key()
+    if x._profile is not None:
+        y._profile = {n - k: h for n, h in x._profile.items()}
+    return y
 
 
 def cone(f: ChainMap) -> Complex:
@@ -239,12 +263,12 @@ def cohomology(x: Complex, i: int) -> Module:
 
 
 def cohomology_profile(x: Complex) -> dict:
-    out = {}
-    for n in x.support:
-        h = cohomology(x, n)
-        if h.total_dim:
-            out[n] = h.dim_vector()
-    return out
+    """Degree -> dimension vector of the nonzero cohomology of x, computed
+    once per object; never mutate it."""
+    if x._profile is None:
+        x._profile = {n: h.dim_vector() for n in x.support
+                      if (h := cohomology(x, n)).total_dim}
+    return x._profile
 
 
 def is_zero_in_derived(x: Complex) -> bool:
@@ -399,13 +423,13 @@ def projective_replacement(x: Complex):
 def derived_hom_dim(x: Complex, y: Complex) -> int:
     """dim Hom(x, y) in D^b(A), the classes of chain maps from the minimal
     replacement of x to y.  Shift is an auto-equivalence, so it is computed
-    once per pair up to a common shift: the pair is keyed after the shift
-    that puts the top degree of x at 0."""
-    top = x.support[-1] if x.support else 0
-    if top:
-        x, y = shift(x, top), shift(y, top)
-    return x.algebra.memo(("derived_hom", x.encode(), y.encode()),
-                          lambda: len(hom_homotopy(minimal_replacement(x), y)))
+    once per pair up to a common shift: the pair is keyed by the two
+    shift-class keys and the distance between the top degrees."""
+    if y.is_zero_complex():
+        return 0
+    return x.algebra.memo(
+        ("derived_hom", x.shift_key(), y.shift_key(), y.top() - x.top()),
+        lambda: len(hom_homotopy(minimal_replacement(x), y)))
 
 
 def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
@@ -510,15 +534,14 @@ def minimize_complex(x: Complex) -> Complex:
 def minimal_replacement(x: Complex) -> Complex:
     """The minimized projective replacement of x.  The replacement of x[s]
     is that of x shifted by s, so it is computed once per complex up to
-    shift: x is keyed after the shift that puts its top degree at 0, and
-    the stored complex is shifted back.  Its terms are shared, so never
-    mutate it."""
-    top = x.support[-1] if x.support else 0
-    if top:
-        return shift(minimal_replacement(shift(x, top)), -top)
-    return x.algebra.memo(
-        ("minimal", x.encode()),
-        lambda: minimize_complex(projective_replacement(x)[0]))
+    shift: x is keyed by its shift-class key, and the replacement of x[top]
+    that is stored is shifted back.  Its terms are shared, so never mutate
+    it."""
+    top = x.top()
+    return shift(x.algebra.memo(
+        ("minimal", x.shift_key()),
+        lambda: minimize_complex(projective_replacement(shift(x, top))[0])),
+        -top)
 
 
 def _split_by_chain_idempotent(x: Complex, e: ChainMap):

@@ -43,6 +43,7 @@ class Module:
             self.offsets[v] = off
             off += self.dims[v]
         self.total_dim = off
+        self._encoding = None
         if check:
             self._check_relations()
 
@@ -88,10 +89,13 @@ class Module:
         return self.total_dim == 0
 
     def encode(self) -> tuple:
-        """Canonical encoding: dim vector, then row-major action entries."""
-        mats = tuple(tuple(self.action[a.name].flatten().tolist())
-                     for a in self.algebra.quiver.arrows)
-        return (self.dim_vector(), mats)
+        """Canonical encoding: dim vector, then row-major action entries;
+        computed once."""
+        if self._encoding is None:
+            self._encoding = (self.dim_vector(), tuple(
+                tuple(self.action[a.name].flatten().tolist())
+                for a in self.algebra.quiver.arrows))
+        return self._encoding
 
     def __repr__(self):
         return f"Module(dims={{{', '.join(f'{v}:{d}' for v, d in self.dims.items() if d)}}})"

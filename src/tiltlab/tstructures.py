@@ -41,7 +41,8 @@ class GeneratedTStructure:
         """Y in S^{>= k}: Hom(E, Y[k + j]) = 0 for every j < 0."""
         if y.is_zero_complex():
             return True
-        key = (y.encode(), k)
+        # y[s] lies in S^{>= k - s} exactly when y lies in S^{>= k}
+        key = (y.shift_key(), y.top() - k)
         hit = self._coaisle_memo.get(key)
         if hit is not None:
             return hit
@@ -67,7 +68,7 @@ class GeneratedTStructure:
         """X in S^{<= k}."""
         if x.is_zero_complex():
             return True
-        key = (x.encode(), k)
+        key = (x.shift_key(), x.top() - k)
         hit = self._aisle_memo.get(key)
         if hit is not None:
             return hit
@@ -186,6 +187,7 @@ class DerivedWorkbench:
                 kind, self.universe, name=f"level {i}")
         self._hearts = {}
         self._pairs = {}
+        self._levels = {}
 
     def structure(self, i: int) -> GeneratedTStructure:
         return self._intermediate[i]
@@ -257,10 +259,14 @@ class DerivedWorkbench:
         u = derived.zero_complex(self.algebra)
         if is_zero_in_derived(x):
             return u, None, u
-        members = [shift(self.member(k), -s) for k in x_keys]
+        if (i, s) not in self._levels:
+            # the members X_k[-s] and the radical maps that _top finds
+            self._levels[i, s] = ([shift(self.member(k), -s)
+                                   for k in x_keys], {})
+        members, radical = self._levels[i, s]
         to_x = [derived.chain_maps(m, x) for m in members]
         lifts = [(m, g) for k, m in enumerate(members) if to_x[k]
-                 for g in self._top(members, to_x, k, x)]
+                 for g in self._top(members, radical, to_x, k)]
         f, c = None, x
         if lifts:
             u, incs = derived.direct_sum_complexes([m for m, _ in lifts])
@@ -273,24 +279,25 @@ class DerivedWorkbench:
                 f"{describe(c)} is not certified in add(Y_{i}[{-s}])")
         return u, f, c
 
-    def _top(self, members, to_x, k: int, x: Complex):
+    def _top(self, members, radical: dict, to_x, k: int):
         """Lifts of a basis of Top_k; to_x[j] are the chain maps
-        members[j] -> x.  A named refusal unless End(X_k) is local with
-        residue field F_p."""
-        mk, p = members[k], self.algebra.p
-        e, rad, degree = gf.local_ring(
-            [g.total() for g in derived.chain_maps(mk, mk)], p)
-        if e is not None or degree != 1:
-            raise ModeUnsupported(
-                f"torsion member {describe(mk)} "
-                + ("splits" if e is not None else
-                   f"has residue field F_{p}^{degree}"))
-        radical = [[ChainMap.from_total(mk, mk, r) for r in rad] if j == k
-                   else derived.chain_maps(mk, mj)
-                   for j, mj in enumerate(members)]
+        members[j] -> x, and radical[k][j] the radical maps X_k -> X_j.  A
+        named refusal unless End(X_k) is local with residue field F_p."""
+        if k not in radical:
+            mk, p = members[k], self.algebra.p
+            e, rad, degree = gf.local_ring(
+                [g.total() for g in derived.chain_maps(mk, mk)], p)
+            if e is not None or degree != 1:
+                raise ModeUnsupported(
+                    f"torsion member {describe(mk)} "
+                    + ("splits" if e is not None else
+                       f"has residue field F_{p}^{degree}"))
+            radical[k] = [[ChainMap.from_total(mk, mk, r) for r in rad]
+                          if j == k else derived.chain_maps(mk, mj)
+                          for j, mj in enumerate(members)]
         return derived.classes_modulo(to_x[k], [
             compose_chain(h, r) for j, hs in enumerate(to_x)
-            for h in hs for r in radical[j]])
+            for h in hs for r in radical[k][j]])
 
     def t_tree(self, x: rep.Module) -> TTree:
         tree = TTree(stalk_complex(x, 0), self.n)

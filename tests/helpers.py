@@ -169,6 +169,21 @@ def derived_hom_dim_by_replacement(x, y) -> int:
     return len(derived.hom_homotopy(derived.projective_replacement(x)[0], y))
 
 
+def rebuilt_over(alg, x):
+    """x rebuilt over alg, an algebra with the same quiver, relations and
+    field: the same complex with none of the caches or memo entries that x
+    and its algebra hold."""
+    terms = {n: rep.Module(alg, m.dims, m.action) for n, m in x.terms.items()}
+    return derived.Complex(alg, terms, {
+        n: ModuleMap(terms[n], terms[n + 1], d.blocks)
+        for n, d in x.diffs.items()})
+
+
+def uncached(x):
+    """A copy of x that has computed neither its keys nor its profile."""
+    return derived.Complex(x.algebra, x.terms, x.diffs, check=False)
+
+
 def in_additive_closure_by_decomposition(wb, x, keys, extra_shift) -> bool:
     """Whether every Krull-Schmidt summand of x in D^b is isomorphic to some
     wb.member(k)[extra_shift]: the decomposition-based test, kept as an

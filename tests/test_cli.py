@@ -168,3 +168,28 @@ def test_tor_table_contains_witness(bundled, capsys):
     # Tor_2(T, Ext^1(T,2)) is one-dimensional: the static-failure witness
     assert table["2"][2][1] == 1
     assert table["2"][2][0] == 0
+
+
+COMMAND_OPTIONS = {"miyashita": ["--module", "12"],
+                   "ttree": ["--module", "12"],
+                   "filtration": ["--module", "12", "--method", "jms"]}
+
+
+@pytest.mark.parametrize("argv", [
+    [name, "ws.tilt", "--n", "2", "--field", "3", "--dim-bound", "3",
+     "--width-bound", "1", "--search-cap", "64", "--tilting", "U",
+     "--format", "machine"] + COMMAND_OPTIONS.get(name, [])
+    for name in cli.COMMANDS] + [["hearts", "ws.tilt"],
+                                 ["filtration", "ws.tilt", "--module", "1"]])
+def test_the_parser_of_one_command_reads_argv_as_the_full_parser(argv):
+    assert cli.build_parser(argv[0]).parse_args(argv) \
+        == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus", "x"],
+                                  ["hearts", "x", "extra"]])
+def test_usage_and_errors_list_every_command(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(argv)
+    text = capsys.readouterr()
+    assert "{" + ",".join(cli.COMMANDS) + "}" in text.out + text.err

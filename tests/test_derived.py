@@ -14,7 +14,10 @@ from tiltlab.errors import SearchExhausted
 
 from helpers import (derived_hom_dim_by_replacement, enumerate_by_full_hom,
                      has_invertible_block, has_invertible_component,
-                     has_projective_terms, part_blocks, visibly_splits)
+                     has_projective_terms, part_blocks, rebuilt_over,
+                     uncached, visibly_splits)
+
+RUNNING = str(resources.files("tiltlab").joinpath("data/running.tilt"))
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +466,50 @@ def test_derived_hom_dim_matches_the_unshifted_replacement(universes, data):
     y = derived.shift(v, data.draw(st.integers(-2, 2)))
     assert derived.derived_hom_dim(x, y) == \
         derived_hom_dim_by_replacement(x, y)
+
+
+@pytest.fixture(scope="module")
+def universe_f3(a3):
+    """The enumerated universe of the running example over F_3, where the
+    sign of an odd shift shows in the encoding."""
+    return derived.enumerate_indecomposable_complexes(
+        algebra.build_algebra(a3.quiver, ["a*b"], 3), 2, 4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_shift_carries_the_shift_class_key(universes, universe_f3, data):
+    x = derived.shift(data.draw(st.sampled_from(data.draw(
+        st.sampled_from(universes + [universe_f3])))),
+        data.draw(st.integers(-2, 2)))
+    xk = derived.shift(x, data.draw(st.integers(-3, 3)))
+    assert xk.shift_key() == x.shift_key() == uncached(xk).shift_key() \
+        == uncached(derived.shift(uncached(x), x.top())).encode()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_shift_carries_the_cohomology_profile(universes, data):
+    x = uncached(data.draw(st.sampled_from(data.draw(
+        st.sampled_from(universes)))))
+    derived.cohomology_profile(x)
+    xk = derived.shift(x, data.draw(st.integers(-3, 3)))
+    assert xk._profile is not None
+    assert derived.cohomology_profile(xk) \
+        == derived.cohomology_profile(uncached(xk))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_derived_hom_dim_of_a_common_shift_matches_a_fresh_algebra(
+        universes, data):
+    x, y = (derived.shift(data.draw(st.sampled_from(universes[0])),
+                          data.draw(st.integers(-2, 2))) for _ in range(2))
+    s = data.draw(st.integers(-3, 3))
+    fresh = cli.parse_workspace(RUNNING).algebra
+    assert derived.derived_hom_dim(derived.shift(x, s), derived.shift(y, s)) \
+        == derived.derived_hom_dim(rebuilt_over(fresh, x),
+                                   rebuilt_over(fresh, y))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -10,7 +10,7 @@ from tiltlab import algebra, cli, derived, gf, rep, tilting, tstructures
 from tiltlab.errors import LocalityUndecided, ModeUnsupported
 
 from helpers import (change_of_basis, complex_change_of_basis,
-                     in_additive_closure_by_decomposition,
+                     in_additive_closure_by_decomposition, rebuilt_over,
                      torsion_decompose_by_search)
 
 SUMS = Path(__file__).parent / "golden" / "sums.tilt"
@@ -107,6 +107,29 @@ def test_intermediate_coaisle(wb, a3):
     s3 = derived.stalk_complex(rep.simple(a3, 3), 0)
     assert d1.in_coaisle(derived.shift(s3, 1), 0)
     assert not d1.in_coaisle(derived.shift(s3, 2), 0)
+
+
+@pytest.fixture(scope="module")
+def fresh_session():
+    """A workbench over the running example parsed again, asked only about
+    unshifted universe objects, so no answer of its memos comes from
+    another shift of the same object."""
+    ws = cli.parse_workspace(
+        str(resources.files("tiltlab").joinpath("data/running.tilt")))
+    return tstructures.DerivedWorkbench(tilting.TiltingContext(
+        ws.module("T"), 2))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_coaisle_membership_of_a_shift_matches_a_fresh_workbench(
+        wb, fresh_session, data):
+    i = data.draw(st.integers(0, wb.n))
+    y = data.draw(st.sampled_from(wb.universe))
+    k, s = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    fresh = fresh_session.structure(i)
+    assert wb.structure(i).in_coaisle(derived.shift(y, s), k - s) \
+        == fresh.in_coaisle(rebuilt_over(fresh.algebra, y), k)
 
 
 def test_tilting_aisle_membership(wb, a3):
@@ -214,33 +237,40 @@ def test_torsion_decompose_matches_search(wb, a3, data):
         frontier = nxt
 
 
-def test_a_torsion_member_of_residue_degree_two_is_refused(wb, a3,
+@pytest.fixture
+def fresh_wb(ctx):
+    """A workbench whose per-(i, s) torsion members are not yet split, so
+    that a stub of gf.local_ring is reached."""
+    return tstructures.DerivedWorkbench(ctx)
+
+
+def test_a_torsion_member_of_residue_degree_two_is_refused(fresh_wb, a3,
                                                            monkeypatch):
-    wb.heart_torsion_pair(0)
+    fresh_wb.heart_torsion_pair(0)
     s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
     monkeypatch.setattr(gf, "local_ring", lambda mats, p: (None, [], 2))
     with pytest.raises(ModeUnsupported, match="residue field F_2\\^2"):
-        wb.torsion_decompose_in_heart(s2, 0, 0)
+        fresh_wb.torsion_decompose_in_heart(s2, 0, 0)
 
 
-def test_a_splitting_torsion_member_is_refused(wb, a3, monkeypatch):
-    wb.heart_torsion_pair(0)
+def test_a_splitting_torsion_member_is_refused(fresh_wb, a3, monkeypatch):
+    fresh_wb.heart_torsion_pair(0)
     s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
     monkeypatch.setattr(gf, "local_ring",
                         lambda mats, p: (gf.eye(len(mats[0])), None, 0))
     with pytest.raises(ModeUnsupported, match="splits"):
-        wb.torsion_decompose_in_heart(s2, 0, 0)
+        fresh_wb.torsion_decompose_in_heart(s2, 0, 0)
 
 
-def test_an_undecided_top_propagates(wb, a3, monkeypatch):
+def test_an_undecided_top_propagates(fresh_wb, a3, monkeypatch):
     def undecided(mats, p):
         raise LocalityUndecided("stub refusal")
 
-    wb.heart_torsion_pair(0)
+    fresh_wb.heart_torsion_pair(0)
     s2 = derived.stalk_complex(rep.simple(a3, 2), 0)
     monkeypatch.setattr(gf, "local_ring", undecided)
     with pytest.raises(LocalityUndecided, match="stub refusal"):
-        wb.torsion_decompose_in_heart(s2, 0, 0)
+        fresh_wb.torsion_decompose_in_heart(s2, 0, 0)
 
 
 def test_t_tree_of_a_sum_certifies_each_split_once(wb, a3, monkeypatch):
