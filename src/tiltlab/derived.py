@@ -4,14 +4,15 @@ Krull-Schmidt decomposition and desk-scale enumeration of indecomposables."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from . import gf, rep
 from .errors import InfiniteGlobalDimension, SearchExhausted
-from .homology import (coords_in_basis, global_dimension, homology_at,
-                       projective_cover)
+from .homology import (coords_in_basis, ext_dim, global_dimension,
+                       homology_at, projective_cover)
 from .rep import Module, ModuleMap, compose
 
 REPLACEMENT_SLACK = 8
@@ -616,16 +617,19 @@ def direct_sum_complexes(xs: list[Complex]):
 
 # -- enumeration -----------------------------------------------------------------
 
-def _picks_within(sizes: list[int], width: int, budget: int):
+def _picks_within(sizes: list[int], width: int, budget: int, linked):
     """Index tuples into sizes of the given width whose sizes add up to at
-    most budget, in the order of product(range(len(sizes)), repeat=width)."""
-    if width == 0:
-        yield ()
-        return
-    for k, size in enumerate(sizes):
-        if size <= budget:
-            for rest in _picks_within(sizes, width - 1, budget - size):
-                yield (k,) + rest
+    most budget and whose consecutive entries k, l satisfy linked(k, l), in
+    the order of product(range(len(sizes)), repeat=width)."""
+    def extend(width, budget, prev):
+        if width == 0:
+            yield ()
+            return
+        for k, size in enumerate(sizes):
+            if size <= budget and (prev is None or linked(prev, k)):
+                for rest in extend(width - 1, budget - size, k):
+                    yield (k,) + rest
+    return extend(width, budget, None)
 
 
 def _radical_maps(m: Module, n: Module, cap: int):
@@ -714,6 +718,25 @@ def _group_complex(alg, combo, blocks: dict) -> Complex:
                    check=False)
 
 
+def _splits_by_cohomology(x: Complex, prof: dict) -> bool:
+    """Whether x, an enumeration candidate of width at least 2 with
+    cohomology profile prof, needs no indecomposability test: it is
+    decomposable or isomorphic to a stalk the enumeration found at width 1.
+
+    With cohomology in one degree k, x is isomorphic to H^k[-k], and the
+    knitted summands of H^k have total dimension within the bound, so their
+    stalks are width-1 candidates.  With cohomology in degrees k < l only,
+    the truncation triangle H^k[-k] -> x -> H^l[-l] -> H^k[-k+1] has its
+    class in Hom(H^l[-l], H^k[-k+1]) = Ext^(l-k+1)(H^l, H^k) (Happel 1988,
+    ch. I); when that group is zero, as it is past gl.dim A, the triangle
+    splits and x is H^k[-k] (+) H^l[-l]."""
+    if len(prof) != 2:
+        return len(prof) == 1
+    k, l = sorted(prof)
+    return l - k + 1 > global_dimension(x.algebra) or not ext_dim(
+        cohomology(x, l), cohomology(x, k), l - k + 1)
+
+
 def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                                        cap: int = rep.END_ENUM_CAP):
     """All indecomposables of the bounded derived category, up to shift and
@@ -730,13 +753,15 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
     indecomposable one is isomorphic to its one group that is not acyclic,
     a candidate with fewer parts.  _candidate_blocks draws one candidate
     per rescaling orbit, and cap bounds p^(radical coordinates) of each
-    choice of terms.  Complete for derived-discrete desk-scale inputs;
+    choice of terms.  A wider candidate whose cohomology decides it
+    (_splits_by_cohomology) is never the first of its class, so it is not
+    tested.  Complete for derived-discrete desk-scale inputs;
     deterministic order.
     """
     from .tilting import _sums_with_dim_bound
     indec_mods = rep.enumerate_indecomposable_modules(alg, dim_bound, cap)
     found = []   # (minimal replacement, candidate, cohomology profile)
-    radical = {}   # (M, N) -> _radical_maps(M, N, cap)
+    radical = cache(lambda m, n: _radical_maps(m, n, cap))
 
     def record(nx: Complex, prof: dict):
         # the minimal complex of projectives is K-projective, so it maps to
@@ -748,18 +773,24 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
 
     choices = [parts for parts in _sums_with_dim_bound(indec_mods, dim_bound)
                if parts]
+
+    @cache
+    def linked(k: int, l: int) -> bool:
+        # a pattern joins adjacent terms only through a nonzero radical
+        return any(radical(m, n)[0] for m, n in product(choices[k],
+                                                        choices[l]))
+
     for width in range(1, width_bound + 1):
         for pick in _picks_within([sum(m.total_dim for m in parts)
-                                   for parts in choices], width, dim_bound):
+                                   for parts in choices], width, dim_bound,
+                                  linked):
             combo = [choices[k] for k in pick]
             edges = []
             for i in range(width - 1):
                 for (a, m), (b, n) in product(enumerate(combo[i]),
                                               enumerate(combo[i + 1])):
-                    if (m, n) not in radical:
-                        radical[m, n] = _radical_maps(m, n, cap)
-                    if radical[m, n][0]:
-                        edges.append(((i, a, b), *radical[m, n]))
+                    if radical(m, n)[0]:
+                        edges.append(((i, a, b), *radical(m, n)))
             sizes = [len(parts) for parts in combo]
             if _spanning_tree(sizes, [e[0] for e in edges]) is None:
                 continue
@@ -773,7 +804,7 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
             for blocks in _candidate_blocks(sizes, edges, alg.p):
                 cand = _group_complex(alg, combo, blocks)
                 prof = cohomology_profile(cand)
-                if not prof:
+                if not prof or width > 1 and _splits_by_cohomology(cand, prof):
                     continue
                 # top cohomology in degree zero before the replacement, so
                 # that record reuses the minimal complex of the test

@@ -48,7 +48,13 @@ def coords_in_basis(basis: list, fs: list) -> np.ndarray:
 # -- projective covers and resolutions ----------------------------------------
 
 def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
-    """Minimal projective cover P(M) ->> M."""
+    """Minimal projective cover P(M) ->> M, computed once per encoding of m;
+    P is shared, so never mutate it, and eps lands in the given m."""
+    total, epi = m.algebra.memo(("cover", m.encode()), lambda: _cover(m))
+    return total, ModuleMap(total, m, epi.blocks, check=False)
+
+
+def _cover(m: Module) -> tuple[Module, ModuleMap]:
     alg = m.algebra
     tp, pi = rep.top(m)
     summands = []

@@ -369,7 +369,8 @@ def enumerate_by_full_hom(alg, width_bound: int, dim_bound: int,
     term_dims = [sum(m.total_dim for m in parts) for parts, _ in term_choices]
     p = alg.p
     for width in range(1, width_bound + 1):
-        for pick in derived._picks_within(term_dims, width, dim_bound):
+        for pick in derived._picks_within(term_dims, width, dim_bound,
+                                          lambda k, l: True):
             combo = tuple(term_choices[k][0] for k in pick)
             terms = {i: term_choices[k][1] for i, k in enumerate(pick)}
             bases = [rep.hom_space(terms[i], terms[i + 1])

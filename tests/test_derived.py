@@ -361,6 +361,71 @@ def test_radical_enumeration_matches_the_full_hom_oracle(case):
         assert sum(derived.is_derived_isomorphic(x, y) for y in old) == 1
 
 
+@pytest.fixture(scope="module")
+def split_inputs(interval_modules):
+    """(algebra, its indecomposables, the pairs (M, N) of two of them with
+    Hom(M, N) nonzero) for the running example over F_2 and F_3 and A4
+    with a*b and b*c over F_2, of global dimension 2 and 3, where the Ext
+    test decides; and for linear A3 over F_3."""
+    q3 = algebra.make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    q4 = algebra.make_quiver([1, 2, 3, 4],
+                             [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+    algs = [algebra.build_algebra(q3, ["a*b"], 3),
+            algebra.build_algebra(q4, ["a*b", "b*c"], 2)]
+    out = interval_modules[:1] + interval_modules[2:] + [
+        (alg, rep.enumerate_indecomposable_modules(alg, 4)) for alg in algs]
+    return [(alg, indecs, [(m, n) for m, n in product(indecs, repeat=2)
+                           if m is not n and rep.hom_space(m, n)])
+            for alg, indecs in out]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_candidate_decided_by_its_cohomology_is_not_new(split_inputs, data):
+    """Random width-2 candidates x: a map between two indecomposables with
+    maps between them, each term perhaps with one more summand, and a
+    random differential."""
+    alg, indecs, pairs = data.draw(st.sampled_from(split_inputs))
+    terms = [rep.direct_sum([m] + data.draw(
+        st.lists(st.sampled_from(indecs), max_size=1)))[0]
+        for m in data.draw(st.sampled_from(pairs))]
+    d = rep.zero_map(*terms)
+    for f in rep.hom_space(*terms):
+        d = d + f.scale(data.draw(st.integers(0, alg.p - 1)))
+    cand = derived.Complex(alg, dict(enumerate(terms)), {0: d})
+    prof = derived.cohomology_profile(cand)
+    if prof and derived._splits_by_cohomology(cand, prof):
+        assert len(derived.decompose_complex(cand)) >= 2 or any(
+            derived.is_derived_isomorphic(cand, stalk(m, k))
+            for m in indecs for k in prof)
+
+
+def test_the_two_term_object_is_not_decided_by_its_cohomology(a3, mods):
+    # 2/3 -> 1/2 has H^-1 = 3 and H^0 = 1, and Ext^2(1, 3) is not zero
+    g = rep.hom_space(mods["23"], mods["12"])[0]
+    x = derived.Complex(a3, {-1: mods["23"], 0: mods["12"]}, {-1: g})
+    assert not derived._splits_by_cohomology(x, derived.cohomology_profile(x))
+    # 1 -> 2/3 with the zero differential: Ext^2(2/3, 1) = 0
+    y = derived.Complex(a3, {-1: mods["1"], 0: mods["23"]}, {})
+    assert derived._splits_by_cohomology(y, derived.cohomology_profile(y))
+
+
+def test_the_cohomology_skip_keeps_the_enumeration(monkeypatch):
+    """The same objects, in the same order, with and without the skip, on
+    fresh algebras: the inputs of the full-Hom oracle test and A4 at width
+    3 and dim 4."""
+    def run():
+        cases = _enumeration_inputs()
+        cases.append((cases[-1][0], 3, 4))
+        return [[x.encode() for x in
+                 derived.enumerate_indecomposable_complexes(*case)]
+                for case in cases]
+
+    skipped = run()
+    monkeypatch.setattr(derived, "_splits_by_cohomology", lambda x, prof: False)
+    assert skipped == run()
+
+
 def test_one_candidate_per_rescaling_orbit():
     """Over F_5, every radical differential on a connected pattern of two
     terms of total dimension at most 5, one of them with two or more parts,
@@ -443,8 +508,9 @@ def test_running_example_enumeration_replaces_each_candidate_once(
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["derived-indec", bundled]) == 0
-    # 28 while record and the deduplication replaced again
-    assert len(calls) == 14
+    # 28 while record and the deduplication replaced again, 14 while
+    # candidates whose cohomology decides them were tested
+    assert len(calls) == 6
 
 
 @pytest.fixture(scope="module")
@@ -533,11 +599,54 @@ def test_minimal_replacement_of_a_shift_is_the_shifted_replacement(
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(st.integers(1, 5), max_size=6), st.integers(0, 3),
-       st.integers(0, 12))
-def test_budget_pruned_picks_follow_the_product_order(sizes, width, budget):
+       st.integers(0, 12), st.sets(st.tuples(st.integers(0, 5),
+                                             st.integers(0, 5))))
+def test_budget_pruned_picks_follow_the_product_order(sizes, width, budget,
+                                                      links):
     want = [pick for pick in product(range(len(sizes)), repeat=width)
-            if sum(sizes[k] for k in pick) <= budget]
-    assert list(derived._picks_within(sizes, width, budget)) == want
+            if sum(sizes[k] for k in pick) <= budget
+            and all(pair in links for pair in zip(pick, pick[1:]))]
+    assert list(derived._picks_within(sizes, width, budget,
+                                      lambda k, l: (k, l) in links)) == want
+
+
+@pytest.mark.parametrize("rels, p, width, dim", [
+    (["a*b"], 2, 3, 4), (["a*b"], 3, 3, 4), (["a*b", "b*c"], 2, 3, 5)])
+def test_linked_picks_are_the_unpruned_picks_that_join_their_parts(
+        monkeypatch, rels, p, width, dim):
+    """The enumeration extends a pick only by a term with a nonzero
+    radical from the previous term; the picks it yields that join their
+    parts are those of the unpruned product order."""
+    arrows = [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)][:len(rels) + 1]
+    alg = algebra.build_algebra(algebra.make_quiver(
+        list(range(1, len(arrows) + 2)), arrows), rels, p)
+    yielded, picks = {}, derived._picks_within
+
+    def recorded(sizes, width, budget, linked):
+        yielded[width] = list(picks(sizes, width, budget, linked))
+        return iter(yielded[width])
+
+    monkeypatch.setattr(derived, "_picks_within", recorded)
+    derived.enumerate_indecomposable_complexes(alg, width, dim)
+    choices = [s for s in tilting._sums_with_dim_bound(
+        rep.enumerate_indecomposable_modules(alg, dim), dim) if s]
+    sizes = [sum(m.total_dim for m in parts) for parts in choices]
+
+    def joins(pick):
+        combo = [choices[k] for k in pick]
+        keys = [(i, a, b) for i in range(len(pick) - 1)
+                for (a, m), (b, n) in product(enumerate(combo[i]),
+                                              enumerate(combo[i + 1]))
+                if derived._radical_maps(m, n, 1)[0]]
+        return derived._spanning_tree([len(c) for c in combo],
+                                      keys) is not None
+
+    for w in range(1, width + 1):
+        every = list(picks(sizes, w, dim, lambda k, l: True))
+        assert [pick for pick in yielded[w] if joins(pick)] == \
+            [pick for pick in every if joins(pick)]
+        if w > 1:
+            assert len(yielded[w]) < len(every)
 
 
 def test_a4_dim_bound_five_finds_the_dim_bound_four_profiles():

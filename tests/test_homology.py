@@ -279,6 +279,24 @@ def test_resolution_lists_are_fresh_on_every_call(setup):
     assert None not in again_diffs
 
 
+def test_projective_cover_is_computed_once_per_encoding(monkeypatch):
+    alg = build_algebra(make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)]),
+                        ["a*b"], p=2)
+    calls, cover = [], hl._cover
+    monkeypatch.setattr(hl, "_cover", lambda m: calls.append(m) or cover(m))
+    m = rep.direct_sum([rep.simple(alg, 2), rep.projective(alg, 1)])[0]
+    twin = rep.Module(alg, m.dims, m.action)
+    assert twin is not m and twin.encode() == m.encode()
+    p0, eps = hl.projective_cover(m)
+    p1, eps1 = hl.projective_cover(twin)
+    assert calls == [m]
+    assert p1 is p0 and p0.dim_vector() == (1, 2, 1)   # P_2 (+) P_1
+    # eps is rebuilt for each caller, so it lands in the caller's module
+    assert eps.target is m and eps1.target is twin
+    eps1.verify()
+    assert eps1.is_epi()
+
+
 def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
     seen = {}
     resolve = hl._resolve
