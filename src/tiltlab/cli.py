@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra as algebra_mod
@@ -500,7 +501,14 @@ def main(argv=None) -> int:
     except (TiltlabError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(report, args.format, sys.stdout)
+    try:
+        _emit(report, args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what stdout still buffers goes to devnull, so
+        # that its flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -265,10 +265,20 @@ def cohomology(x: Complex, i: int) -> Module:
 
 def cohomology_profile(x: Complex) -> dict:
     """Degree -> dimension vector of the nonzero cohomology of x, computed
-    once per object; never mutate it."""
+    once per object; never mutate it.
+
+    Read from ranks, with no cohomology module built: at each vertex v,
+    dim H^n(x)_v = dim x^n_v - rank d^n_v - rank d^(n-1)_v, since
+    ker d^n_v has dimension dim x^n_v - rank d^n_v and contains
+    im d^(n-1)_v exactly when d o d = 0.  That precondition holds for every
+    complex here: a checked Complex verifies it, _candidate_blocks tests it
+    before a candidate is built, and shifts and stalks keep it."""
     if x._profile is None:
-        x._profile = {n: h.dim_vector() for n in x.support
-                      if (h := cohomology(x, n)).total_dim}
+        rk = {(n, v): gf.rank(b, x.p) for n, d in x.diffs.items()
+              for v, b in d.blocks.items() if b.any()}
+        x._profile = {n: h for n, m in x.terms.items() if any(h := tuple(
+            m.dims[v] - rk.get((n, v), 0) - rk.get((n - 1, v), 0)
+            for v in m.vertex_order))}
     return x._profile
 
 
@@ -278,42 +288,55 @@ def is_zero_in_derived(x: Complex) -> bool:
 
 # -- chain maps and homotopy ---------------------------------------------------
 
-def chain_maps(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of the space of strict chain maps x -> y.
-
-    One system over the degreewise Hom bases: d_Y^n f^n - f^{n+1} d_X^n = 0,
-    written entrywise in Hom_F(X^n, Y^{n+1})."""
-    degs = sorted(set(x.support) & set(y.support))
-    bases = {n: rep.hom_space(x.terms[n], y.terms[n]) for n in degs}
-    degs = [n for n in degs if bases[n]]
-    if not degs:
-        return []
-    p = x.p
+def _map_system(x: Complex, y: Complex, k: int = 0):
+    """(bases, sysmat) for the graded maps f^n: x^n -> y^(n+k), written in
+    coordinates over the Hom bases: bases[n] is the basis of
+    Hom(x^n, y^(n+k)), kept when nonempty, in degree order, and sysmat has a
+    column per basis map in that order and a row per entry of
+    d_y f^n - f^(n+1) d_x in Hom_F(x^n, y^(n+k+1)), zero rows dropped.  For
+    k = 0 its kernel is the space of chain maps x -> y."""
+    bases = {n: b for n in x.support if n + k in y.terms
+             if (b := rep.hom_space(x.terms[n], y.terms[n + k]))}
     col, nunk = {}, 0
-    for n in degs:
+    for n, b in bases.items():
         col[n] = nunk
-        nunk += len(bases[n])
-    stacks = {n: np.stack([b.total() for b in bases[n]]) for n in degs}
+        nunk += len(b)
+    stacks = {n: np.stack([f.total() for f in b]) for n, b in bases.items()}
     rows = [gf.zeros(0, nunk)]
-    for n in sorted(n for n in x.support if (n + 1) in y.terms):
-        # one row per entry of a matrix X^n -> Y^{n+1}
-        block = gf.zeros(y.terms[n + 1].total_dim * x.terms[n].total_dim, nunk)
+    for n in x.support:
+        if n + k + 1 not in y.terms or (n not in col and n + 1 not in col):
+            continue
+        # one row per entry of a matrix x^n -> y^(n+k+1)
+        block = gf.zeros(y.terms[n + k + 1].total_dim * x.terms[n].total_dim,
+                         nunk)
         if n in col:
-            lhs = y.diff(n).total() @ stacks[n]
+            lhs = y.diff(n + k).total() @ stacks[n]
             block[:, col[n]:col[n] + len(lhs)] = lhs.reshape(len(lhs), -1).T
         if n + 1 in col:
             rhs = stacks[n + 1] @ x.diff(n).total()
             block[:, col[n + 1]:col[n + 1] + len(rhs)] -= \
                 rhs.reshape(len(rhs), -1).T
-        rows.append(block % p)
+        rows.append(block % x.p)
     sysmat = np.concatenate(rows, axis=0)
-    null = gf.nullspace(sysmat[sysmat.any(axis=1)], p)
+    return bases, sysmat[sysmat.any(axis=1)]
+
+
+def chain_maps(x: Complex, y: Complex) -> list[ChainMap]:
+    """Basis of the space of strict chain maps x -> y: the kernel of the
+    system of _map_system."""
+    bases, sysmat = _map_system(x, y)
+    if not bases:
+        return []
+    p = x.p
+    null = gf.nullspace(sysmat, p)
     maps = [{} for _ in range(null.shape[1])]
-    for n in degs:
-        coeffs = null[col[n]:col[n] + len(bases[n])].T
+    col = 0
+    for n, b in bases.items():
+        coeffs = null[col:col + len(b)].T
+        col += len(b)
         for v in x.terms[n].vertex_order:
             blocks = np.tensordot(
-                coeffs, np.stack([b.blocks[v] for b in bases[n]]), axes=1) % p
+                coeffs, np.stack([f.blocks[v] for f in b]), axes=1) % p
             for c, block in enumerate(blocks):
                 maps[c].setdefault(n, {})[v] = block
     return [ChainMap(x, y, {n: ModuleMap(x.terms[n], y.terms[n], blocks,
@@ -422,15 +445,32 @@ def projective_replacement(x: Complex):
 
 
 def derived_hom_dim(x: Complex, y: Complex) -> int:
-    """dim Hom(x, y) in D^b(A), the classes of chain maps from the minimal
-    replacement of x to y.  Shift is an auto-equivalence, so it is computed
-    once per pair up to a common shift: the pair is keyed by the two
-    shift-class keys and the distance between the top degrees."""
+    """dim Hom(x, y) in D^b(A), counted by ranks with no class built.
+
+    With P the minimal replacement of x, which is K-projective,
+    Hom(x, y) = H^0 of the Hom complex Hom^k = prod_n Hom(P^n, y^(n+k)),
+    delta^k f = d_y f - (-1)^k f d_P.  By rank-nullity its dimension is
+    z0 - rank delta^-1, where z0 = dim Hom^0 - rank delta^0 is the dimension
+    of the chain maps P -> y.  _map_system writes d_y f - f d_P, unsigned,
+    for every k; for k = -1 its rank is still that of delta^-1.  The
+    automorphism sigma^n -> (-1)^n sigma^n of Hom^-1, with the sign (-1)^n
+    on the entries of the maps P^n -> y^n, turns d sigma + sigma d into
+    d sigma - sigma d, and invertible changes on both sides keep the rank.
+    The k = -1 system is skipped when z0 = 0.
+
+    Shift is an auto-equivalence, so it is computed once per pair up to a
+    common shift: the pair is keyed by the two shift-class keys and the
+    distance between the top degrees."""
     if y.is_zero_complex():
         return 0
+
+    def dim() -> int:
+        px = minimal_replacement(x)
+        cycles = _map_system(px, y)[1]
+        z0 = cycles.shape[1] - gf.rank(cycles, x.p)
+        return z0 and z0 - gf.rank(_map_system(px, y, -1)[1], x.p)
     return x.algebra.memo(
-        ("derived_hom", x.shift_key(), y.shift_key(), y.top() - x.top()),
-        lambda: len(hom_homotopy(minimal_replacement(x), y)))
+        ("derived_hom", x.shift_key(), y.shift_key(), y.top() - x.top()), dim)
 
 
 def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:

@@ -3,6 +3,8 @@ heart torsion pairs, torsion decompositions, and the depth-n t-tree."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import derived, gf, rep
 from .derived import (ChainMap, Complex, cohomology, cohomology_profile,
                       compose_chain, derived_hom_dim, is_zero_in_derived,
@@ -37,6 +39,13 @@ class GeneratedTStructure:
         self._coaisle_memo = {}
         self._aisle_memo = {}
 
+    @cached_property
+    def _supports(self) -> list:
+        """The degrees of the minimal replacement of each generator, read
+        once per structure."""
+        return [derived.minimal_replacement(g).support
+                for g in self.generators]
+
     def in_coaisle(self, y: Complex, k: int = 0) -> bool:
         """Y in S^{>= k}: Hom(E, Y[k + j]) = 0 for every j < 0."""
         if y.is_zero_complex():
@@ -46,21 +55,10 @@ class GeneratedTStructure:
         hit = self._coaisle_memo.get(key)
         if hit is not None:
             return hit
-        ok = True
-        for g in self.generators:
-            pe = derived.minimal_replacement(g)
-            if pe.is_zero_complex():
-                continue
-            lo = min(y.support) - k - max(pe.support)
-            hi = max(y.support) - k - min(pe.support)
-            for j in range(lo, min(hi, -1) + 1):
-                if j >= 0:
-                    break
-                if derived_hom_dim(g, shift(y, k + j)):
-                    ok = False
-                    break
-            if not ok:
-                break
+        lo, hi = y.support[0] - k, y.support[-1] - k
+        ok = not any(derived_hom_dim(g, shift(y, k + j))
+                     for g, sup in zip(self.generators, self._supports) if sup
+                     for j in range(lo - sup[-1], min(hi - sup[0], -1) + 1))
         self._coaisle_memo[key] = ok
         return ok
 
@@ -75,10 +73,8 @@ class GeneratedTStructure:
         if self.kind == "natural":
             ok = all(n <= k for n in cohomology_profile(x))
         elif self.kind == "tilting":
-            t = self.generators[0]
-            pt = derived.minimal_replacement(t)
-            lo = min(x.support) - max(pt.support)
-            hi = max(x.support) - min(pt.support)
+            t, sup = self.generators[0], self._supports[0]
+            lo, hi = x.support[0] - sup[-1], x.support[-1] - sup[0]
             ok = not any(derived_hom_dim(t, shift(x, i))
                          for i in range(max(k + 1, lo), hi + 1))
         else:

@@ -1,7 +1,11 @@
 """Workspace parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,18 @@ def test_usage_and_errors_list_every_command(argv, capsys):
         cli.main(argv)
     text = capsys.readouterr()
     assert "{" + ",".join(cli.COMMANDS) + "}" in text.out + text.err
+
+
+def test_a_reader_that_has_gone_is_a_quiet_failure(bundled):
+    """tiltlab ... | true: the write to the closed pipe exits with code 1
+    and leaves stderr empty, also at interpreter shutdown."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tiltlab.cli", "derived-indec", bundled,
+         "--dim-bound", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from tiltlab import algebra, cli, derived, gf, homology, rep, tilting
 from tiltlab.errors import SearchExhausted
 
-from helpers import (derived_hom_dim_by_replacement, enumerate_by_full_hom,
+from helpers import (complex_change_of_basis,
+                     derived_hom_dim_by_replacement, enumerate_by_full_hom,
                      has_invertible_block, has_invertible_component,
                      has_projective_terms, part_blocks, rebuilt_over,
                      uncached, visibly_splits)
@@ -522,24 +523,27 @@ def universes(a3):
             for alg in (a3, hereditary)]
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_derived_hom_dim_matches_the_unshifted_replacement(universes, data):
-    universe = data.draw(st.sampled_from(universes))
-    u, v = data.draw(st.sampled_from(universe)), \
-        data.draw(st.sampled_from(universe))
-    x = derived.shift(u, data.draw(st.integers(-2, 2)))
-    y = derived.shift(v, data.draw(st.integers(-2, 2)))
-    assert derived.derived_hom_dim(x, y) == \
-        derived_hom_dim_by_replacement(x, y)
-
-
 @pytest.fixture(scope="module")
 def universe_f3(a3):
     """The enumerated universe of the running example over F_3, where the
     sign of an odd shift shows in the encoding."""
     return derived.enumerate_indecomposable_complexes(
         algebra.build_algebra(a3.quiver, ["a*b"], 3), 2, 4)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_derived_hom_dim_matches_the_unshifted_replacement(universes,
+                                                            universe_f3, data):
+    # over F_3 the homotopy rows d sigma + sigma d differ from the
+    # unsigned rows that derived_hom_dim ranks
+    universe = data.draw(st.sampled_from(universes + [universe_f3]))
+    u, v = data.draw(st.sampled_from(universe)), \
+        data.draw(st.sampled_from(universe))
+    x = derived.shift(u, data.draw(st.integers(-2, 2)))
+    y = derived.shift(v, data.draw(st.integers(-2, 2)))
+    assert derived.derived_hom_dim(x, y) == \
+        derived_hom_dim_by_replacement(x, y)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -563,6 +567,40 @@ def test_shift_carries_the_cohomology_profile(universes, data):
     assert xk._profile is not None
     assert derived.cohomology_profile(xk) \
         == derived.cohomology_profile(uncached(xk))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cohomology_profile_matches_the_cohomology_modules(universes,
+                                                           universe_f3, data):
+    """The profile read from ranks against the cohomology modules, on
+    universe objects under a change of basis and a shift, and on up to two
+    nested cones of chain maps into such objects."""
+    universe = data.draw(st.sampled_from(universes + [universe_f3]))
+
+    def draw_object(top):
+        x = complex_change_of_basis(data.draw, data.draw(
+            st.sampled_from(universe)))
+        return derived.shift(x, x.top() - top)
+
+    x = draw_object(data.draw(st.integers(-2, 2)))
+    for _ in range(data.draw(st.integers(0, 2))):
+        # y ends where x does: chain maps x -> y are likely, and the cone
+        # is wider than x
+        y = draw_object(x.top())
+        basis = derived.chain_maps(x, y)
+        if basis:
+            coeffs = data.draw(st.lists(st.integers(0, x.p - 1),
+                                        min_size=len(basis),
+                                        max_size=len(basis)))
+            f = basis[0].scale(coeffs[0])
+            for c, g in zip(coeffs[1:], basis[1:]):
+                f = f + g.scale(c)
+            x = derived.cone(f)
+    x = uncached(x)
+    assert derived.cohomology_profile(x) == {
+        n: h.dim_vector() for n in x.support
+        if (h := derived.cohomology(x, n)).total_dim}
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
