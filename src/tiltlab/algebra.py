@@ -154,11 +154,14 @@ class BoundQuiverAlgebra:
     precomputed structure constants.
 
     memo() holds every result that depends only on the algebra and fixed
-    inputs (its opposite, projectives, global dimension, Krull-Schmidt
-    splits, minimal projective resolutions, Ext and Tor modules over
-    End(T), one minimal projective replacement per complex up to shift,
-    one derived Hom dimension per pair of complexes up to a common shift),
-    computed once and kept as long as the algebra object.
+    inputs (its opposite, projectives, global dimension, knitted
+    indecomposables, Krull-Schmidt splits, projective covers, minimal
+    projective resolutions, the Ext dimensions of a pair of modules in
+    every degree, Ext and Tor modules over End(T), one minimal projective
+    replacement per complex up to shift, and one pair (dim Hom^k,
+    rank delta^k) of the derived Hom complex per pair of complexes up to
+    shift and relative degree k), computed once and kept as long as the
+    algebra object.
     """
 
     def __init__(self, quiver: Quiver, relations: list[Relation], p: int,
@@ -306,8 +309,8 @@ class _Reducer:
         return v
 
 
-def build_algebra(quiver: Quiver, relations: list[Relation], p: int,
-                  length_cap: int = LENGTH_CAP) -> BoundQuiverAlgebra:
+def build_algebra(quiver: Quiver, relations: list[Relation],
+                  p: int) -> BoundQuiverAlgebra:
     """Construct the bound quiver algebra kQ/(relations) over F_p."""
     if p < 2 or any(p % q == 0 for q in range(2, p)):
         raise ValueError(f"field characteristic must be prime, got {p}")
@@ -349,11 +352,11 @@ def build_algebra(quiver: Quiver, relations: list[Relation], p: int,
         nil = find_nilpotency(paths, idx, red, horizon)
         if nil is not None:
             break
-        if max_len >= length_cap:
+        if max_len >= LENGTH_CAP:
             raise NonAdmissible(
                 f"arrow-ideal powers do not vanish modulo the relations "
-                f"up to length {length_cap}")
-        max_len = min(2 * max_len, length_cap)
+                f"up to length {LENGTH_CAP}")
+        max_len = min(2 * max_len, LENGTH_CAP)
 
     # room for products of basis paths (length up to 2*(nil-1))
     needed = max(2 * max(nil - 1, 1) + rel_max, max_len)

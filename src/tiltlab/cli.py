@@ -266,9 +266,7 @@ def _context(ws: Workspace, args) -> tilting.TiltingContext:
 
 def _workbench(ws, args, ctx=None):
     ctx = ctx or _context(ws, args)
-    return tstructures.DerivedWorkbench(ctx, width_bound=args.width_bound,
-                                        dim_bound=args.dim_bound,
-                                        cap=args.search_cap)
+    return tstructures.DerivedWorkbench(ctx, width_bound=args.width_bound)
 
 
 def cmd_check_tilting(ws, args):

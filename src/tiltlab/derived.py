@@ -12,7 +12,8 @@ import numpy as np
 from . import gf, rep
 from .errors import InfiniteGlobalDimension, SearchExhausted
 from .homology import (coords_in_basis, ext_dim, global_dimension,
-                       homology_at, projective_cover)
+                       hom_complex_rank, homology_at, map_system,
+                       projective_cover)
 from .rep import Module, ModuleMap, compose
 
 REPLACEMENT_SLACK = 8
@@ -199,56 +200,46 @@ def shift(x: Complex, k: int) -> Complex:
     return y
 
 
+def assemble(alg, parts: dict, blocks: dict, check: bool = True):
+    """The complex whose term n is rep.direct_sum(parts[n]) and whose
+    differential from part a of term n to part b of term n + 1 is the sum
+    of the maps blocks[n, a, b] (none where absent), with the triples
+    {n: (term, inclusions, projections)} of rep.direct_sum."""
+    sums = {n: rep.direct_sum(ps) for n, ps in parts.items()}
+    diffs = {}
+    for (n, a, b), f in blocks.items():
+        g = compose(sums[n + 1][1][b], compose(f, sums[n][2][a]))
+        diffs[n] = diffs[n] + g if n in diffs else g
+    return Complex(alg, {n: s[0] for n, s in sums.items()}, diffs,
+                   check=check), sums
+
+
+def _cone(f: ChainMap):
+    """cone(f), with the triples of rep.direct_sum for its terms."""
+    x, y = f.source, f.target
+    degs = sorted({n - 1 for n in x.terms} | set(y.terms))
+    blocks = {}
+    for n in degs:
+        if n + 1 in degs:
+            blocks.update({(n, 0, 0): x.diff(n + 1).scale(-1),
+                           (n, 0, 1): f.map_at(n + 1),
+                           (n, 1, 1): y.diff(n)})
+    return assemble(x.algebra, {n: [x.term(n + 1), y.term(n)] for n in degs},
+                    blocks)
+
+
 def cone(f: ChainMap) -> Complex:
     """Terms X^{n+1} (+) Y^n, differential [[-d_X, 0], [f, d_Y]]."""
-    x, y = f.source, f.target
-    alg = x.algebra
-    degs = sorted({n - 1 for n in x.terms} | set(y.terms))
-    terms, parts = {}, {}
-    for n in degs:
-        summands = [x.term(n + 1), y.term(n)]
-        total, incs, projs = rep.direct_sum(summands)
-        terms[n] = total
-        parts[n] = (incs, projs)
-    diffs = {}
-    for n in degs:
-        if n + 1 not in terms:
-            continue
-        incs1, _ = parts[n + 1]
-        _, projs0 = parts[n]
-        d = rep.zero_map(terms[n], terms[n + 1])
-        d = d + compose(incs1[0], compose(x.diff(n + 1), projs0[0])).scale(-1)
-        d = d + compose(incs1[1], compose(f.map_at(n + 1), projs0[0]))
-        d = d + compose(incs1[1], compose(y.diff(n), projs0[1]))
-        diffs[n] = d
-    return Complex(alg, terms, diffs, check=True)
+    return _cone(f)[0]
 
 
 def cone_triangle(f: ChainMap):
-    """Returns (cone, inclusion Y -> cone, projection cone -> X[1])."""
-    c = cone(f)
-    x, y = f.source, f.target
-    x1 = shift(x, 1)
-    inc_maps, proj_maps = {}, {}
-    for n in c.support:
-        xt = x.term(n + 1)
-        yt = y.term(n)
-        total = c.terms[n]
-        blocks_in = {}
-        blocks_out = {}
-        for v in total.vertex_order:
-            bi = gf.zeros(total.dims[v], yt.dims[v])
-            bi[xt.dims[v]:, :] = gf.eye(yt.dims[v])
-            blocks_in[v] = bi
-            bo = gf.zeros(xt.dims[v], total.dims[v])
-            bo[:, :xt.dims[v]] = gf.eye(xt.dims[v])
-            blocks_out[v] = bo
-        if n in y.terms:
-            inc_maps[n] = ModuleMap(yt, total, blocks_in, check=False)
-        if n in x1.terms:
-            proj_maps[n] = ModuleMap(total, x1.terms[n], blocks_out,
-                                     check=False)
-    return c, ChainMap(y, c, inc_maps), ChainMap(c, x1, proj_maps)
+    """Returns (cone, inclusion Y -> cone, projection cone -> X[1]), read
+    from the inclusions and projections of the cone's terms."""
+    c, sums = _cone(f)
+    x1 = shift(f.source, 1)
+    return (c, ChainMap(f.target, c, {n: sums[n][1][1] for n in c.support}),
+            ChainMap(c, x1, {n: sums[n][2][0] for n in c.support}))
 
 
 def cohomology(x: Complex, i: int) -> Module:
@@ -288,43 +279,10 @@ def is_zero_in_derived(x: Complex) -> bool:
 
 # -- chain maps and homotopy ---------------------------------------------------
 
-def _map_system(x: Complex, y: Complex, k: int = 0):
-    """(bases, sysmat) for the graded maps f^n: x^n -> y^(n+k), written in
-    coordinates over the Hom bases: bases[n] is the basis of
-    Hom(x^n, y^(n+k)), kept when nonempty, in degree order, and sysmat has a
-    column per basis map in that order and a row per entry of
-    d_y f^n - f^(n+1) d_x in Hom_F(x^n, y^(n+k+1)), zero rows dropped.  For
-    k = 0 its kernel is the space of chain maps x -> y."""
-    bases = {n: b for n in x.support if n + k in y.terms
-             if (b := rep.hom_space(x.terms[n], y.terms[n + k]))}
-    col, nunk = {}, 0
-    for n, b in bases.items():
-        col[n] = nunk
-        nunk += len(b)
-    stacks = {n: np.stack([f.total() for f in b]) for n, b in bases.items()}
-    rows = [gf.zeros(0, nunk)]
-    for n in x.support:
-        if n + k + 1 not in y.terms or (n not in col and n + 1 not in col):
-            continue
-        # one row per entry of a matrix x^n -> y^(n+k+1)
-        block = gf.zeros(y.terms[n + k + 1].total_dim * x.terms[n].total_dim,
-                         nunk)
-        if n in col:
-            lhs = y.diff(n + k).total() @ stacks[n]
-            block[:, col[n]:col[n] + len(lhs)] = lhs.reshape(len(lhs), -1).T
-        if n + 1 in col:
-            rhs = stacks[n + 1] @ x.diff(n).total()
-            block[:, col[n + 1]:col[n + 1] + len(rhs)] -= \
-                rhs.reshape(len(rhs), -1).T
-        rows.append(block % x.p)
-    sysmat = np.concatenate(rows, axis=0)
-    return bases, sysmat[sysmat.any(axis=1)]
-
-
 def chain_maps(x: Complex, y: Complex) -> list[ChainMap]:
     """Basis of the space of strict chain maps x -> y: the kernel of the
-    system of _map_system."""
-    bases, sysmat = _map_system(x, y)
+    system of homology.map_system."""
+    bases, sysmat = map_system(x.terms, x.diffs, y.terms, y.diffs)
     if not bases:
         return []
     p = x.p
@@ -451,26 +409,34 @@ def derived_hom_dim(x: Complex, y: Complex) -> int:
     Hom(x, y) = H^0 of the Hom complex Hom^k = prod_n Hom(P^n, y^(n+k)),
     delta^k f = d_y f - (-1)^k f d_P.  By rank-nullity its dimension is
     z0 - rank delta^-1, where z0 = dim Hom^0 - rank delta^0 is the dimension
-    of the chain maps P -> y.  _map_system writes d_y f - f d_P, unsigned,
-    for every k; for k = -1 its rank is still that of delta^-1.  The
-    automorphism sigma^n -> (-1)^n sigma^n of Hom^-1, with the sign (-1)^n
-    on the entries of the maps P^n -> y^n, turns d sigma + sigma d into
-    d sigma - sigma d, and invertible changes on both sides keep the rank.
-    The k = -1 system is skipped when z0 = 0.
+    of the chain maps P -> y; delta^-1 is not ranked when z0 = 0.
+    homology.map_system writes d_y f - f d_P, unsigned, for every k, and
+    its rank is still that of delta^k: for odd k, the sign (-1)^n on the
+    unknowns of degree n and on the rows of degree n turns the unsigned rows
+    into the signed ones, and invertible changes on both sides keep the
+    rank.  The same sign absorbs the sign that a shift puts on d_P or d_y.
 
-    Shift is an auto-equivalence, so it is computed once per pair up to a
-    common shift: the pair is keyed by the two shift-class keys and the
-    distance between the top degrees."""
+    So shift, an auto-equivalence, keeps (dim Hom^k, rank delta^k)
+    (homology.hom_complex_rank), and that pair is computed once per
+    shift-class key of x, shift-class key of y and relative degree
+    j = k + top(x) - top(y), the degree of the same maps between x and y
+    shifted to top degree 0.  Hom(x, y) reads the pair at j = top(x) -
+    top(y) and the rank at j - 1, which is the pair Hom(x, y[-1]) reads
+    first, so adjacent shifts share a rank."""
     if y.is_zero_complex():
         return 0
+    j = x.top() - y.top()
 
-    def dim() -> int:
-        px = minimal_replacement(x)
-        cycles = _map_system(px, y)[1]
-        z0 = cycles.shape[1] - gf.rank(cycles, x.p)
-        return z0 and z0 - gf.rank(_map_system(px, y, -1)[1], x.p)
-    return x.algebra.memo(
-        ("derived_hom", x.shift_key(), y.shift_key(), y.top() - x.top()), dim)
+    def pair(i: int) -> tuple[int, int]:
+        def compute():
+            px = minimal_replacement(x)
+            return hom_complex_rank(px.terms, px.diffs, y.terms, y.diffs,
+                                    i - j)
+        return x.algebra.memo(
+            ("derived_hom", x.shift_key(), y.shift_key(), i), compute)
+    dim, rank = pair(j)
+    z0 = dim - rank
+    return z0 and z0 - pair(j - 1)[1]
 
 
 def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
@@ -495,10 +461,15 @@ def is_derived_isomorphic(x: Complex, y: Complex) -> bool:
 
 def _minimal_iso(x: Complex, y: Complex):
     """A chain isomorphism between indecomposable minimal complexes of
-    projectives, or None: some basis class of Hom up to homotopy is a
-    homotopy equivalence if x = y (as in rep.iso_of_indecomposables), and a
-    homotopy equivalence of minimal complexes is an isomorphism."""
-    return next((f for f in hom_homotopy(x, y)
+    projectives, or None: the first invertible map of chain_maps(x, y).
+
+    Minimal complexes are isomorphic in D^b exactly when they are
+    isomorphic as complexes, and the strict End ring of an indecomposable
+    one is local (is_indecomposable_complex certifies it).  So, as in
+    rep.iso_of_indecomposables, if phi: x -> y is an isomorphism, the
+    strict maps x -> y are phi End(x), and a basis of them that had no
+    invertible member would put End(x) inside its radical."""
+    return next((f for f in chain_maps(x, y)
                  if gf.is_invertible(f.total(), x.p)), None)
 
 
@@ -629,30 +600,13 @@ def direct_sum_complexes(xs: list[Complex]):
     """Degreewise direct sum; returns (total, inclusion chain maps)."""
     if not xs:
         raise ValueError("empty direct sum of complexes")
-    alg = xs[0].algebra
     degs = sorted({n for x in xs for n in x.support})
-    terms, incs_at, projs_at = {}, {}, {}
-    for n in degs:
-        total, incs, projs = rep.direct_sum([x.term(n) for x in xs])
-        terms[n] = total
-        incs_at[n] = incs
-        projs_at[n] = projs
-    diffs = {}
-    for n in degs:
-        if n + 1 not in terms:
-            continue
-        d = rep.zero_map(terms[n], terms[n + 1])
-        for k, x in enumerate(xs):
-            d = d + compose(incs_at[n + 1][k],
-                            compose(x.diff(n), projs_at[n][k]))
-        if not d.is_zero():
-            diffs[n] = d
-    total_cplx = Complex(alg, terms, diffs, check=True)
-    inc_chains = []
-    for k, x in enumerate(xs):
-        maps = {n: incs_at[n][k] for n in x.support}
-        inc_chains.append(ChainMap(x, total_cplx, maps, check=False))
-    return total_cplx, inc_chains
+    total, sums = assemble(
+        xs[0].algebra, {n: [x.term(n) for x in xs] for n in degs},
+        {(n, k, k): d for k, x in enumerate(xs) for n, d in x.diffs.items()
+         if not d.is_zero()})
+    return total, [ChainMap(x, total, {n: sums[n][1][k] for n in x.support},
+                            check=False) for k, x in enumerate(xs)]
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -744,20 +698,6 @@ def _candidate_blocks(sizes: list, edges: list, p: int):
                 yield dict(zip(keys, mats))
 
 
-def _group_complex(alg, combo, blocks: dict) -> Complex:
-    """The candidate whose term i is the direct sum of the parts combo[i]
-    and whose block from part a of term i to part b of term i + 1 has total
-    matrix blocks[i, a, b] (zero where absent)."""
-    sums = [rep.direct_sum(parts) for parts in combo]
-    diffs = {}
-    for (i, a, b), block in blocks.items():
-        f = compose(sums[i + 1][1][b], compose(ModuleMap.from_total(
-            combo[i][a], combo[i + 1][b], block), sums[i][2][a]))
-        diffs[i] = diffs[i] + f if i in diffs else f
-    return Complex(alg, {i: s[0] for i, s in enumerate(sums)}, diffs,
-                   check=False)
-
-
 def _splits_by_cohomology(x: Complex, prof: dict) -> bool:
     """Whether x, an enumeration candidate of width at least 2 with
     cohomology profile prof, needs no indecomposability test: it is
@@ -842,7 +782,10 @@ def enumerate_indecomposable_complexes(alg, width_bound: int, dim_bound: int,
                     "derived enumeration: differentials of the complex with "
                     f"terms {terms}: {alg.p}^{coords} exceeds cap {cap}")
             for blocks in _candidate_blocks(sizes, edges, alg.p):
-                cand = _group_complex(alg, combo, blocks)
+                cand = assemble(alg, dict(enumerate(combo)), {
+                    (i, a, b): ModuleMap.from_total(
+                        combo[i][a], combo[i + 1][b], block)
+                    for (i, a, b), block in blocks.items()}, check=False)[0]
                 prof = cohomology_profile(cand)
                 if not prof or width > 1 and _splits_by_cohomology(cand, prof):
                     continue

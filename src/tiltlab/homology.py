@@ -158,22 +158,63 @@ def injective_coresolution(m: Module):
 
 # -- Ext dimensions ------------------------------------------------------------
 
-def _induced_matrix(src_basis, tgt_basis, induce):
-    """Matrix of a linear operation between hom spaces in given bases."""
-    if not src_basis or not tgt_basis:
-        return gf.zeros(len(tgt_basis), len(src_basis))
-    return coords_in_basis(tgt_basis, [induce(b) for b in src_basis])
+def map_system(xt: dict, xd: dict, yt: dict, yd: dict, k: int = 0):
+    """(bases, sysmat) for the graded maps f^n: x^n -> y^(n+k) between
+    graded modules x and y, each given as degree -> Module (xt, yt) and
+    degree n -> differential of degree n to n + 1 (xd, yd, absent where
+    zero).  bases[n] is the basis of Hom(x^n, y^(n+k)), kept when nonempty,
+    in degree order, and sysmat has a column per basis map in that order
+    and a row per entry of d_y f^n - f^(n+1) d_x in Hom_F(x^n, y^(n+k+1)),
+    zero rows dropped.  For k = 0 its kernel is the space of chain maps
+    x -> y; its rank is that of the coboundary delta^k of the Hom complex
+    (hom_complex_rank)."""
+    bases = {n: b for n in sorted(xt) if n + k in yt
+             if (b := rep.hom_space(xt[n], yt[n + k]))}
+    col, nunk = {}, 0
+    for n, b in bases.items():
+        col[n] = nunk
+        nunk += len(b)
+    stacks = {n: np.stack([f.total() for f in b]) for n, b in bases.items()}
+    rows = [gf.zeros(0, nunk)]
+    for n in sorted(xt):
+        if n + k + 1 not in yt or (n not in col and n + 1 not in col):
+            continue
+        # one row per entry of a matrix x^n -> y^(n+k+1)
+        block = gf.zeros(yt[n + k + 1].total_dim * xt[n].total_dim, nunk)
+        if n in col and n + k in yd:
+            lhs = yd[n + k].total() @ stacks[n]
+            block[:, col[n]:col[n] + len(lhs)] = lhs.reshape(len(lhs), -1).T
+        if n + 1 in col and n in xd:
+            rhs = stacks[n + 1] @ xd[n].total()
+            block[:, col[n + 1]:col[n + 1] + len(rhs)] -= \
+                rhs.reshape(len(rhs), -1).T
+        rows.append(block % xt[n].p)
+    sysmat = np.concatenate(rows, axis=0)
+    return bases, sysmat[sysmat.any(axis=1)]
 
 
-def _hom_cohomology_dims(homs: list, coboundary, p: int) -> list:
-    """dim H^i for every term i of a complex of hom spaces: homs[j] is a
-    basis of term j, coboundary(j, f) the image in term j + 1 of f in
-    term j."""
-    ranks = [gf.rank(_induced_matrix(
-        homs[j], homs[j + 1], lambda f, j=j: coboundary(j, f)), p)
-        for j in range(len(homs) - 1)]
-    return [len(hom) - r_in - r_out for hom, r_in, r_out
-            in zip(homs, [0] + ranks, ranks + [0])]
+def hom_complex_rank(xt: dict, xd: dict, yt: dict, yd: dict,
+                     k: int) -> tuple[int, int]:
+    """(dim Hom^k, rank delta^k) for the Hom complex of graded modules given
+    as in map_system: Hom^k = prod_n Hom(x^n, y^(n+k)) and
+    delta^k f = d_y f - (-1)^k f d_x, so that
+    dim H^k = dim Hom^k - rank delta^k - rank delta^(k-1).  The unsigned
+    rows of map_system have the rank of delta^k for every k: the sign
+    (-1)^n on the unknowns and rows of degree n turns one into the other
+    when k is odd."""
+    sysmat = map_system(xt, xd, yt, yd, k)[1]
+    if not sysmat.size:
+        return sysmat.shape[1], 0
+    return sysmat.shape[1], gf.rank(sysmat, next(iter(xt.values())).p)
+
+
+def _cohomology_dims(xt: dict, xd: dict, yt: dict, yd: dict,
+                     degrees: range) -> list:
+    """dim H^k of the Hom complex for k in degrees, from consecutive ranks;
+    delta^(k-1) is taken as 0 below the first degree."""
+    pairs = [hom_complex_rank(xt, xd, yt, yd, k) for k in degrees]
+    ranks = [r for _, r in pairs]
+    return [n - r - r_in for (n, r), r_in in zip(pairs, [0] + ranks)]
 
 
 def ext_dim(x: Module, y: Module, i: int) -> int:
@@ -190,9 +231,10 @@ def ext_dim(x: Module, y: Module, i: int) -> int:
 
 def _ext_dims(x: Module, y: Module) -> list:
     terms, diffs, _ = minimal_projective_resolution(x)
-    # Hom(P_j, y) -> Hom(P_{j+1}, y) precomposes with d: P_{j+1} -> P_j
-    return _hom_cohomology_dims([rep.hom_space(t, y) for t in terms],
-                                lambda j, f: compose(f, diffs[j]), x.p)
+    # P_j sits in degree -j, and d: P_{j+1} -> P_j is its differential
+    return _cohomology_dims({-j: t for j, t in enumerate(terms)},
+                            {-j - 1: d for j, d in enumerate(diffs)},
+                            {0: y}, {}, range(len(terms)))
 
 
 def ext_dim_via_injectives(x: Module, y: Module, i: int) -> int:
@@ -208,9 +250,8 @@ def ext_dim_via_injectives(x: Module, y: Module, i: int) -> int:
 
 def _ext_dims_via_injectives(x: Module, y: Module) -> list:
     terms, diffs, _ = injective_coresolution(y)
-    # Hom(x, I^j) -> Hom(x, I^{j+1}) postcomposes with d: I^j -> I^{j+1}
-    return _hom_cohomology_dims([rep.hom_space(x, t) for t in terms],
-                                lambda j, f: compose(diffs[j], f), x.p)
+    return _cohomology_dims({0: x}, {}, dict(enumerate(terms)),
+                            dict(enumerate(diffs)), range(len(terms)))
 
 
 def ext_dim_checked(x: Module, y: Module, i: int) -> int:

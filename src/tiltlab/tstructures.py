@@ -150,8 +150,7 @@ class DerivedWorkbench:
     intermediate and tilting t-structures, their hearts and torsion pairs,
     and t-trees.  Requires representation-finite desk scale."""
 
-    def __init__(self, ctx: TiltingContext, width_bound: int = 2,
-                 dim_bound: int = None, cap: int = rep.END_ENUM_CAP):
+    def __init__(self, ctx: TiltingContext, width_bound: int = 2):
         if not ctx.representation_finite:
             raise ModeUnsupported(
                 "t-structure workbench needs a representation-finite "
@@ -159,11 +158,9 @@ class DerivedWorkbench:
         self.ctx = ctx
         self.algebra = ctx.t.algebra
         self.n = ctx.n
-        self.cap = cap
-        if dim_bound is None:
-            dim_bound = ctx.dim_bound
+        self.cap = ctx.cap
         self.universe = derived.enumerate_indecomposable_complexes(
-            self.algebra, width_bound, dim_bound, cap)
+            self.algebra, width_bound, ctx.dim_bound, ctx.cap)
         self.window = self.n + 2
         t_stalk = stalk_complex(ctx.t, 0)
         a_stalk = stalk_complex(rep.regular_module(self.algebra), 0)
@@ -398,12 +395,8 @@ class DerivedWorkbench:
                 bad.append(o)
         report["h0_of_aisle_in_ke0"] = (not bad, f"{len(bad)} violations")
 
-        bad = []
-        for o in objs:
-            if not tilt.in_aisle(o, 0):
-                continue
-            for y in objs:
-                if tilt.in_coaisle(y, 1) and derived_hom_dim(o, y):
-                    bad.append((o, y))
+        coaisle = [y for y in objs if tilt.in_coaisle(y, 1)]
+        bad = [(o, y) for o in objs if tilt.in_aisle(o, 0)
+               for y in coaisle if derived_hom_dim(o, y)]
         report["t2_orthogonality"] = (not bad, f"{len(bad)} violations")
         return report

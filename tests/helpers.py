@@ -5,7 +5,7 @@ from itertools import permutations, product
 import numpy as np
 from hypothesis import strategies as st
 
-from tiltlab import derived, gf, rep, tilting
+from tiltlab import derived, gf, homology, rep, tilting
 from tiltlab.errors import SearchExhausted
 from tiltlab.rep import ModuleMap, compose
 
@@ -148,6 +148,21 @@ def local_radical_by_scan(endos, p):
     if not nilpotents:
         return gf.zeros(n * n, 0)
     return gf.column_space(np.stack(nilpotents, axis=1), p)
+
+
+def ext_dims_by_coordinates(x, y) -> list:
+    """dim Ext^j(x, y) for every term P_j of the minimal projective
+    resolution of x, from the matrix of each induced map
+    Hom(P_j, y) -> Hom(P_(j+1), y), f -> f d_j, in coordinates over the Hom
+    bases: the coordinate route, kept as an oracle for the ranks of
+    homology.map_system behind ext_dim and ext_dim_via_injectives."""
+    terms, diffs, _ = homology.minimal_projective_resolution(x)
+    homs = [rep.hom_space(t, y) for t in terms]
+    ranks = [gf.rank(homology.coords_in_basis(
+        homs[j + 1], [compose(f, diffs[j]) for f in homs[j]]), x.p)
+        if homs[j] and homs[j + 1] else 0 for j in range(len(diffs))]
+    return [len(hom) - r_in - r_out for hom, r_in, r_out
+            in zip(homs, [0] + ranks, ranks + [0])]
 
 
 def is_derived_isomorphic_by_scan(x, y):

@@ -616,6 +616,29 @@ def test_derived_hom_dim_of_a_common_shift_matches_a_fresh_algebra(
                                    rebuilt_over(fresh, y))
 
 
+def test_adjacent_shifts_share_a_hom_complex_rank(universes, monkeypatch):
+    # Hom(x, y[s]) reads the relative degrees j and j - 1, j = top(x) -
+    # top(y) + s, so five adjacent shifts need at most six (dim, rank)
+    # pairs where a memo per shift would rank ten systems
+    calls = []
+    rank = derived.hom_complex_rank
+
+    def counted(*args):
+        calls.append(args[-1])
+        return rank(*args)
+
+    monkeypatch.setattr(derived, "hom_complex_rank", counted)
+    for u, v in product(universes[0], repeat=2):
+        fresh = algebra.build_algebra(u.algebra.quiver, ["a*b"], 2)
+        x, y = rebuilt_over(fresh, u), rebuilt_over(fresh, v)
+        calls.clear()
+        for s in range(-2, 3):
+            ys = derived.shift(y, s)
+            assert derived.derived_hom_dim(x, ys) == \
+                derived_hom_dim_by_replacement(x, ys), (u, v, s)
+        assert len(calls) <= 6, (u, v, calls)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_minimal_replacement_of_a_shift_is_the_shifted_replacement(

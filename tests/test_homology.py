@@ -11,7 +11,8 @@ from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
 from tiltlab.errors import InfiniteGlobalDimension, NotBasic
 
-from helpers import change_of_basis, presentations_match
+from helpers import (change_of_basis, ext_dims_by_coordinates,
+                     presentations_match)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +445,33 @@ def _running_context(p):
 def _assert_isomorphic(m, n):
     assert m.dim_vector() == n.dim_vector()
     assert rep.is_isomorphic(m, n) is not None
+
+
+@functools.cache
+def _knitted(p, relations):
+    """The knitted indecomposables of linear A3 over F_p with the given
+    relations: the running example with ("a*b",), the path algebra with
+    ()."""
+    q = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    return rep.enumerate_indecomposable_modules(
+        build_algebra(q, list(relations), p), 3)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ext_dims_match_the_coordinate_route(p, data):
+    # both routes rank the one system builder; the oracle solves for the
+    # coordinates of every induced map instead
+    mods = _knitted(p, data.draw(st.sampled_from([("a*b",), ()])))
+    x, y = (change_of_basis(data.draw, rep.direct_sum(data.draw(
+        st.lists(st.sampled_from(mods), min_size=1, max_size=2)))[0])
+        for _ in range(2))
+    ref = ext_dims_by_coordinates(x, y)
+    for i in range(len(ref) + 2):
+        want = ref[i] if i < len(ref) else 0
+        assert hl.ext_dim(x, y, i) == want, i
+        assert hl.ext_dim_via_injectives(x, y, i) == want, i
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -371,6 +371,23 @@ def test_structural_sweep(wb):
         assert ok, (name, detail)
 
 
+def test_verify_asks_the_t2_coaisle_once_per_object(wb, monkeypatch):
+    # the t2-orthogonality check asks the tilting structure for S^{>= 1}
+    # once per object, not once per pair of objects
+    asked = []
+    in_coaisle = tstructures.GeneratedTStructure.in_coaisle
+
+    def counted(self, y, k=0):
+        if self is wb.tilting_structure and k == 1:
+            asked.append(y)
+        return in_coaisle(self, y, k)
+
+    monkeypatch.setattr(tstructures.GeneratedTStructure, "in_coaisle",
+                        counted)
+    assert all(ok for ok, _ in wb.verify_structural_claims().values())
+    assert len(asked) == len(wb.shifted_universe())
+
+
 def test_leaf_placement_matches_tilting_class(wb, ctx, a3):
     for m in ctx.indecomposables:
         cls = tilting.miyashita_class(ctx.t, m, 2)
