@@ -173,11 +173,6 @@ def compose_chain(f: ChainMap, g: ChainMap) -> ChainMap:
                     check=False)
 
 
-def identity_chain(x: Complex) -> ChainMap:
-    return ChainMap(x, x, {n: rep.identity_map(x.terms[n])
-                           for n in x.support}, check=False)
-
-
 def stalk_complex(m: Module, deg: int = 0) -> Complex:
     return Complex(m.algebra, {deg: m}, {}, check=False)
 
@@ -231,15 +226,6 @@ def _cone(f: ChainMap):
 def cone(f: ChainMap) -> Complex:
     """Terms X^{n+1} (+) Y^n, differential [[-d_X, 0], [f, d_Y]]."""
     return _cone(f)[0]
-
-
-def cone_triangle(f: ChainMap):
-    """Returns (cone, inclusion Y -> cone, projection cone -> X[1]), read
-    from the inclusions and projections of the cone's terms."""
-    c, sums = _cone(f)
-    x1 = shift(f.source, 1)
-    return (c, ChainMap(f.target, c, {n: sums[n][1][1] for n in c.support}),
-            ChainMap(c, x1, {n: sums[n][2][0] for n in c.support}))
 
 
 def cohomology(x: Complex, i: int) -> Module:
@@ -343,15 +329,6 @@ def hom_homotopy(x: Complex, y: Complex) -> list[ChainMap]:
     return classes_modulo(chain_maps(x, y))
 
 
-def is_nullhomotopic(f: ChainMap) -> bool:
-    if f.is_zero():
-        return True
-    basis = chain_maps(f.source, f.target)
-    coords = coords_in_basis(basis, [f])
-    null = homotopy_span(f.source, f.target, basis)
-    return gf.in_span(null, coords, f.p)
-
-
 # -- projective replacement -----------------------------------------------------
 
 def projective_replacement(x: Complex):
@@ -444,10 +421,6 @@ def diffs_map(term: Module, diffs: dict, n: int) -> ModuleMap:
     if d is not None:
         return d
     return rep.zero_map(term, rep.zero_module(term.algebra))
-
-
-def is_quasi_iso(f: ChainMap) -> bool:
-    return is_zero_in_derived(cone(f))
 
 
 def is_derived_isomorphic(x: Complex, y: Complex) -> bool:

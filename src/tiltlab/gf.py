@@ -51,66 +51,99 @@ def mulchain(p: int, *mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
+def _eliminate(rows: list, ncols: int, p: int) -> list[int]:
+    """Reduce the row lists `rows` (entries in [0, p)) in place to reduced
+    row echelon form in their first ncols columns; returns the pivot columns.
 
-    The elimination runs on Python row lists: nearly every system here is
-    at most a few rows wide, where per-row numpy calls cost more than the
-    arithmetic."""
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return np.mod(a, p), []
-    rows = np.mod(a, p).tolist()
+    Nearly every system here is at most a few rows wide, where per-row numpy
+    calls cost more than the arithmetic, so the elimination runs on lists
+    and each caller builds its one result array from them."""
+    m = len(rows)
     pivots: list[int] = []
-    for col in range(n):
+    for col in range(ncols):
         row = len(pivots)
         if row == m:
             break
-        nz = next((i for i in range(row, m) if rows[i][col]), None)
-        if nz is None:
+        for nz in range(row, m):
+            if rows[nz][col]:
+                break
+        else:
             continue
-        rows[row], rows[nz] = rows[nz], rows[row]
-        inv = pow(rows[row][col], p - 2, p)
-        piv = rows[row] = [x * inv % p for x in rows[row]]
+        piv = rows[nz]
+        rows[nz] = rows[row]
+        if piv[col] != 1:
+            inv = pow(piv[col], p - 2, p)
+            piv = [x * inv % p for x in piv]
+        rows[row] = piv
         for i in range(m):
             c = rows[i][col]
             if c and i != row:
                 rows[i] = [(x - c * y) % p for x, y in zip(rows[i], piv)]
         pivots.append(col)
-    return np.array(rows, dtype=np.int64), pivots
+    return pivots
+
+
+def _array(rows, m: int, n: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(m, n)
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices)."""
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return np.mod(a, p), []
+    rows = np.mod(a, p).tolist()
+    pivots = _eliminate(rows, n, p)
+    return _array(rows, m, n), pivots
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    return len(rref(a, p)[1])
+    m, n = a.shape
+    return len(_eliminate(np.mod(a, p).tolist(), n, p)) if m and n else 0
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of ker(a) as columns of an (n, k) matrix."""
+    """Basis of ker(a) as columns of an (n, k) matrix: one column per free
+    column j of the echelon form, 1 at j and minus column j at the pivots."""
     m, n = a.shape
-    r, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in pivots]
-    basis = zeros(n, len(free))
+    if m == 0:
+        return eye(n)
+    rows = np.mod(a, p).tolist()
+    pivots = _eliminate(rows, n, p)
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    basis = [None] * n
     for idx, j in enumerate(free):
-        basis[j, idx] = 1
-        for rowi, pc in enumerate(pivots):
-            basis[pc, idx] = (-r[rowi, j]) % p
-    return basis
+        basis[j] = [0] * len(free)
+        basis[j][idx] = 1
+    for row, j in zip(rows, pivots):
+        basis[j] = [-row[f] % p for f in free]
+    return _array(basis, n, len(free))
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a x = b (b may have several columns), or None."""
+    """One solution x of a x = b (b may have several columns), or None.
+
+    [a | b] is eliminated in the columns of a only: the system is
+    inconsistent exactly when a row below the rank keeps a nonzero entry
+    of b."""
     m, n = a.shape
     if b.ndim == 1:
         b = b.reshape(-1, 1)
-    aug = np.concatenate([a, b], axis=1) % p
-    r, pivots = rref(aug, p)
+    if b.shape[0] != m:
+        raise ValueError(f"shape mismatch {a.shape} x = {b.shape}")
     k = b.shape[1]
-    x = zeros(n, k)
-    for rowi, pc in enumerate(pivots):
-        if pc >= n:
-            return None  # inconsistent
-        x[pc] = r[rowi, n:]
-    return x
+    if m == 0 or k == 0:
+        return zeros(n, k)
+    rows = [ra + rb for ra, rb in zip(np.mod(a, p).tolist(),
+                                      np.mod(b, p).tolist())]
+    pivots = _eliminate(rows, n, p)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None  # inconsistent
+    x = [[0] * k] * n
+    for row, j in zip(rows, pivots):
+        x[j] = row[n:]
+    return _array(x, n, k)
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray | None:
@@ -129,8 +162,12 @@ def is_invertible(a: np.ndarray, p: int) -> bool:
 
 def column_space(a: np.ndarray, p: int) -> np.ndarray:
     """A basis of the column space, as columns (echelonized, canonical)."""
-    r, pivots = rref(a.T % p, p)
-    return r[: len(pivots)].T.copy()
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return zeros(m, 0)
+    rows = np.mod(a.T, p).tolist()
+    r = len(_eliminate(rows, m, p))
+    return _array(list(zip(*rows[:r])), m, r)
 
 
 def in_span(cols: np.ndarray, v: np.ndarray, p: int) -> bool:
@@ -158,12 +195,20 @@ def quotient_map(sub: np.ndarray, n: int, p: int) -> tuple[np.ndarray, np.ndarra
     of a basis of the span), and proj is the identity block of the rows
     below rank(sub), since those rows kill sub and send sec to id_q.
     """
-    sub = sub if sub.size else zeros(n, 0)
+    if not sub.size:
+        return eye(n), eye(n)
     c = sub.shape[1]
-    r, pivots = rref(np.concatenate([sub, eye(n)], axis=1), p)
+    rows = np.mod(sub, p).tolist()
+    for i, row in enumerate(rows):
+        row += [0] * n
+        row[c + i] = 1
+    pivots = _eliminate(rows, c + n, p)
     k = sum(1 for j in pivots if j < c)
-    sec = eye(n)[:, [j - c for j in pivots[k:]]]
-    return r[k:, c:], sec
+    sec = [[0] * (n - k) for _ in range(n)]
+    for idx, j in enumerate(pivots[k:]):
+        sec[j - c][idx] = 1
+    return (_array([row[c:] for row in rows[k:]], n - k, n),
+            _array(sec, n, n - k))
 
 
 def all_vectors(n: int, p: int):

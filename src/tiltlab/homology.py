@@ -606,41 +606,6 @@ def _tor_modules(data: EndomorphismData, n: Module) -> list:
                              maps + [None], [None] + maps)
 
 
-def counit_map(data: EndomorphismData, x: Module,
-               hom_mod: TransportedModule | None = None,
-               tens: TransportedModule | None = None) -> ModuleMap:
-    """Evaluation T (x)_B Hom(T, x) -> x."""
-    p = data.b.p
-    if hom_mod is None:
-        hom_mod = hom_as_b_module(data, x)
-    if tens is None:
-        tens = tensor_over_b(data, hom_mod.module)
-    if tens.module.total_dim == 0:
-        return rep.zero_map(tens.module, x)
-    proj, sec, n = tens.extra
-    dn = n.total_dim
-    # module coordinates of Hom(T, x) -> actual linear maps
-    emb = np.concatenate([hom_mod.bases[v] for v in hom_mod.module.vertex_order],
-                         axis=1) % p
-    hom_flat = np.stack([h.total().flatten() for h in hom_mod.extra],
-                        axis=1) % p
-    maps_flat = gf.mul(hom_flat, emb, p)  # column j: j-th module basis vector
-    dt = data.t.total_dim
-    dx = x.total_dim
-    ev = gf.zeros(dx, dt * dn)
-    for i in range(dt):
-        for j in range(dn):
-            hmat = maps_flat[:, j].reshape(dx, dt)
-            ev[:, i * dn + j] = hmat[:, i]
-    if gf.mul(ev, gf.column_space(
-            (gf.eye(dt * dn) - gf.mul(sec, proj, p)) % p, p),
-            p).any():
-        raise InternalInconsistency("evaluation does not kill the relations")
-    phi = gf.mul(ev, sec, p)
-    return rep.abstract_map_to_module_map(tens.module, tens.bases, x,
-                                          module_self_bases(x), phi)
-
-
 def t_as_right_module(data: EndomorphismData) -> Module:
     """T with its right B-action, as a module over the opposite of B."""
     b = data.b

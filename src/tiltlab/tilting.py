@@ -5,6 +5,7 @@ extension-closure refinement)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -161,7 +162,12 @@ class TiltingContext:
         self.cap = cap
         self.dim_bound = dim_bound
         self.certificate = check_classical_tilting(t, n)
-        self.data = endomorphism_algebra(t)
+
+    @cached_property
+    def data(self):
+        """End(T) and its action, built when a command first reads it: only
+        the B-side commands and static filtrations need T basic."""
+        return endomorphism_algebra(self.t)
 
     @property
     def indecomposables(self) -> list[Module]:

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from tiltlab import derived, gf, homology, rep, tilting
-from tiltlab.errors import SearchExhausted
+from tiltlab.errors import InternalInconsistency, SearchExhausted
 from tiltlab.rep import ModuleMap, compose
 
 
@@ -173,7 +173,7 @@ def is_derived_isomorphic_by_scan(x, y):
     if hx != derived.cohomology_profile(y):
         return False
     px = derived.projective_replacement(x)[0]
-    return not hx or any(derived.is_quasi_iso(f) for f in rep.all_maps(
+    return not hx or any(is_quasi_iso(f) for f in rep.all_maps(
         derived.hom_homotopy(px, y), x.p, skip_zero=True))
 
 
@@ -265,6 +265,56 @@ def rref_by_rows(a, p):
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def nullspace_by_rows(a, p):
+    """The array route of gf.nullspace, on rref_by_rows."""
+    n = a.shape[1]
+    r, pivots = rref_by_rows(a, p)
+    free = [j for j in range(n) if j not in pivots]
+    basis = gf.zeros(n, len(free))
+    for idx, j in enumerate(free):
+        basis[j, idx] = 1
+        for rowi, pc in enumerate(pivots):
+            basis[pc, idx] = (-r[rowi, j]) % p
+    return basis
+
+
+def solve_by_rows(a, b, p):
+    """The array route of gf.solve, on rref_by_rows: one elimination of
+    [a | b], inconsistent when a pivot falls in b."""
+    n = a.shape[1]
+    r, pivots = rref_by_rows(np.concatenate([a, b], axis=1) % p, p)
+    x = gf.zeros(n, b.shape[1])
+    for rowi, pc in enumerate(pivots):
+        if pc >= n:
+            return None
+        x[pc] = r[rowi, n:]
+    return x
+
+
+def inverse_by_rows(a, p):
+    n = a.shape[0]
+    if a.shape[1] != n:
+        return None
+    x = solve_by_rows(a, gf.eye(n), p)
+    if x is None or not np.array_equal(np.mod(a @ x, p), gf.eye(n)):
+        return None
+    return x
+
+
+def column_space_by_rows(a, p):
+    r, pivots = rref_by_rows(a.T % p, p)
+    return r[: len(pivots)].T.copy()
+
+
+def quotient_map_by_rows(sub, n, p):
+    """The array route of gf.quotient_map: one elimination of [sub | I_n]."""
+    sub = sub if sub.size else gf.zeros(n, 0)
+    c = sub.shape[1]
+    r, pivots = rref_by_rows(np.concatenate([sub, gf.eye(n)], axis=1), p)
+    k = sum(1 for j in pivots if j < c)
+    return r[k:, c:], gf.eye(n)[:, [j - c for j in pivots[k:]]]
 
 
 def greedy_quotient_map(sub, n, p):
@@ -427,3 +477,64 @@ def enumerate_by_full_hom(alg, width_bound: int, dim_bound: int,
     found.sort(key=lambda entry: (entry[0].width(), entry[0].total_dim(),
                                   entry[0].encode()))
     return [nx for _, nx, _ in found]
+
+
+# -- chain-map and counit constructions only the tests use --------------------
+
+def identity_chain(x):
+    return derived.ChainMap(x, x, {n: rep.identity_map(x.terms[n])
+                                   for n in x.support}, check=False)
+
+
+def cone_triangle(f):
+    """Returns (cone, inclusion Y -> cone, projection cone -> X[1]), read
+    from the inclusions and projections of the cone's terms."""
+    c, sums = derived._cone(f)
+    x1 = derived.shift(f.source, 1)
+    return (c, derived.ChainMap(f.target, c,
+                                {n: sums[n][1][1] for n in c.support}),
+            derived.ChainMap(c, x1, {n: sums[n][2][0] for n in c.support}))
+
+
+def is_nullhomotopic(f) -> bool:
+    if f.is_zero():
+        return True
+    basis = derived.chain_maps(f.source, f.target)
+    coords = homology.coords_in_basis(basis, [f])
+    null = derived.homotopy_span(f.source, f.target, basis)
+    return gf.in_span(null, coords, f.p)
+
+
+def is_quasi_iso(f) -> bool:
+    return derived.is_zero_in_derived(derived.cone(f))
+
+
+def counit_map(data, x):
+    """Evaluation T (x)_B Hom(T, x) -> x."""
+    p = data.b.p
+    hom_mod = homology.hom_as_b_module(data, x)
+    tens = homology.tensor_over_b(data, hom_mod.module)
+    if tens.module.total_dim == 0:
+        return rep.zero_map(tens.module, x)
+    proj, sec, n = tens.extra
+    dn = n.total_dim
+    # module coordinates of Hom(T, x) -> actual linear maps
+    emb = np.concatenate([hom_mod.bases[v] for v in hom_mod.module.vertex_order],
+                         axis=1) % p
+    hom_flat = np.stack([h.total().flatten() for h in hom_mod.extra],
+                        axis=1) % p
+    maps_flat = gf.mul(hom_flat, emb, p)  # column j: j-th module basis vector
+    dt = data.t.total_dim
+    dx = x.total_dim
+    ev = gf.zeros(dx, dt * dn)
+    for i in range(dt):
+        for j in range(dn):
+            hmat = maps_flat[:, j].reshape(dx, dt)
+            ev[:, i * dn + j] = hmat[:, i]
+    if gf.mul(ev, gf.column_space(
+            (gf.eye(dt * dn) - gf.mul(sec, proj, p)) % p, p),
+            p).any():
+        raise InternalInconsistency("evaluation does not kill the relations")
+    phi = gf.mul(ev, sec, p)
+    return rep.abstract_map_to_module_map(tens.module, tens.bases, x,
+                                          homology.module_self_bases(x), phi)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from tiltlab import cli, rep
-from tiltlab.errors import ParseError, ValidationError
+from tiltlab.errors import NotBasic, ParseError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,27 @@ def test_check_tilting_report(bundled, capsys):
     assert code == 0
     assert "tilting: yes (n = 2)" in out
     assert "P_2: [[0, 0, 1]]" in out
+
+
+def test_a_non_basic_tilting_module_is_refused_only_where_b_is_read(
+        tmp_path, capsys):
+    # T (+) 12 on the running example: tilting, but End(T) is not basic
+    path = tmp_path / "nonbasic.tilt"
+    path.write_text(
+        "tiltlab-format 1\n[algebra]\nvertices 1 2 3\nfield 2\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 3\nrelation a*b\n"
+        "[module 2]\ndims 1:0 2:1 3:0\n"
+        "[module T]\ndims 1:3 2:3 3:1\n"
+        "map a [[0,0,0],[1,0,0],[0,0,1]]\nmap b [[1,0,0]]\n")
+    code, out, _ = run_cli(capsys, "check-tilting", str(path))
+    assert code == 0 and "tilting: yes (n = 2)" in out
+    ws = cli.parse_workspace(str(path))
+    for argv in (["tor-table"], ["bside"],
+                 ["filtration", "--module", "2", "--method", "static"]):
+        args = cli.build_parser(argv[0]).parse_args(
+            [argv[0], str(path)] + argv[1:])
+        with pytest.raises(NotBasic):
+            cli.COMMANDS[argv[0]](ws, args)
 
 
 def test_ttree_rendering(bundled, capsys):

@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from tiltlab import algebra, cli, derived, gf, homology, rep, tilting
 from tiltlab.errors import SearchExhausted
 
-from helpers import (complex_change_of_basis,
+from helpers import (complex_change_of_basis, cone_triangle,
                      derived_hom_dim_by_replacement, enumerate_by_full_hom,
                      has_invertible_block, has_invertible_component,
-                     has_projective_terms, part_blocks, rebuilt_over,
-                     uncached, visibly_splits)
+                     has_projective_terms, identity_chain, is_nullhomotopic,
+                     is_quasi_iso, part_blocks, rebuilt_over, uncached,
+                     visibly_splits)
 
 RUNNING = str(resources.files("tiltlab").joinpath("data/running.tilt"))
 
@@ -75,7 +76,7 @@ def test_cone_of_surjection_is_shifted_kernel(mods):
 
 
 def test_cone_of_identity_vanishes(tilt):
-    c = derived.cone(derived.identity_chain(stalk(tilt)))
+    c = derived.cone(identity_chain(stalk(tilt)))
     assert derived.is_zero_in_derived(c)
 
 
@@ -88,8 +89,8 @@ def test_cone_of_zero_map_splits(mods, a3):
 
 def test_triangle_euler_characteristic(mods):
     f = rep.hom_space(mods["23"], mods["12"])[0]
-    tri = derived.cone_triangle(derived.ChainMap(stalk(mods["23"]),
-                                                 stalk(mods["12"]), {0: f}))
+    tri = cone_triangle(derived.ChainMap(stalk(mods["23"]),
+                                         stalk(mods["12"]), {0: f}))
     c, inc, proj = tri
     inc.verify()
     proj.verify()
@@ -105,7 +106,7 @@ def test_projective_replacement_of_simple(mods):
     px, qis = derived.projective_replacement(stalk(mods["2"]))
     assert {n: px.terms[n].dim_vector() for n in px.support} == \
         {-1: (0, 0, 1), 0: (0, 1, 1)}
-    assert derived.is_quasi_iso(qis)
+    assert is_quasi_iso(qis)
     assert has_projective_terms(px)
 
 
@@ -114,7 +115,7 @@ def test_projective_replacement_preserves_cohomology(mods, a3):
     x = derived.Complex(a3, {-1: mods["23"], 0: mods["12"]}, {-1: g})
     px, qis = derived.projective_replacement(x)
     assert derived.cohomology_profile(px) == derived.cohomology_profile(x)
-    assert derived.is_quasi_iso(qis)
+    assert is_quasi_iso(qis)
 
 
 def test_derived_hom_matches_ext(tilt, mods, a3):
@@ -140,8 +141,8 @@ def test_nullhomotopy_detection(mods):
     # the inclusion of the degree-0 term composed with nothing: build the
     # chain map px -> px given by d in degree -1 followed by inclusion
     endos = derived.chain_maps(px, px)
-    ident = derived.identity_chain(px)
-    assert not derived.is_nullhomotopic(ident)
+    ident = identity_chain(px)
+    assert not is_nullhomotopic(ident)
     classes = derived.hom_homotopy(px, px)
     # End of an indecomposable complex over F_2 modulo homotopy is local
     assert len(classes) >= 1
@@ -790,7 +791,7 @@ def test_one_vertex_algebra_single_object():
 def test_chain_map_composition(mods):
     f = rep.hom_space(mods["23"], mods["2"])[0]
     cf = derived.ChainMap(stalk(mods["23"]), stalk(mods["2"]), {0: f})
-    ident = derived.identity_chain(stalk(mods["23"]))
+    ident = identity_chain(stalk(mods["23"]))
     comp = derived.compose_chain(cf, ident)
     assert np.array_equal(comp.map_at(0).total(), f.total())
 

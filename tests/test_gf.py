@@ -4,7 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from tiltlab import gf
 
-from helpers import greedy_quotient_map, rref_by_rows
+from helpers import (column_space_by_rows, greedy_quotient_map,
+                     inverse_by_rows, nullspace_by_rows, quotient_map_by_rows,
+                     rref_by_rows, solve_by_rows)
 
 
 def M(rows):
@@ -160,15 +162,66 @@ def test_multi_column_solve_matches_column_solves(data):
         assert np.array_equal(both, np.concatenate(cols, axis=1))
 
 
+def same(got, want):
+    if want is None or got is None:
+        return got is None and want is None
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got, want))
+
+
+def check_against_the_array_route(p, a, b, sq):
+    """Every routine on the row-list kernel against the same routine built
+    on rref_by_rows: a any matrix, b right-hand sides for a, sq square."""
+    m = a.shape[0]
+    r, pivots = gf.rref(a, p)
+    r_old, pivots_old = rref_by_rows(a, p)
+    assert same(r, r_old) and pivots == pivots_old
+    assert gf.rank(a, p) == len(pivots_old)
+    assert same(gf.nullspace(a, p), nullspace_by_rows(a, p))
+    assert same(gf.column_space(a, p), column_space_by_rows(a, p))
+    proj, sec = gf.quotient_map(a, m, p)
+    proj_old, sec_old = quotient_map_by_rows(a, m, p)
+    assert same(proj, proj_old) and same(sec, sec_old)
+    assert same(gf.solve(a, b, p), solve_by_rows(a, b, p))
+    assert same(gf.inverse(sq, p), inverse_by_rows(sq, p))
+    assert gf.is_invertible(sq, p) == (inverse_by_rows(sq, p) is not None)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_kernel_routines_match_the_array_route(data):
+    p, a = data.draw(matrices())
+    m, n = a.shape
+    k = data.draw(st.integers(0, 4))
+    _, x = data.draw(matrices(rows=n, cols=k))
+    b = a @ x
+    if k and data.draw(st.booleans()):
+        # a drawn column, consistent or not
+        b[:, data.draw(st.integers(0, k - 1))] = data.draw(
+            matrices(rows=m, cols=1))[1][:, 0]
+    s = data.draw(st.integers(0, 5))
+    sq = a if m == n else data.draw(matrices(rows=s, cols=s))[1]
+    check_against_the_array_route(p, a, b, sq)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("m,n,k", [(0, 3, 2), (4, 0, 1), (0, 0, 0),
+                                   (3, 2, 0), (0, 2, 0), (2, 0, 0)])
+def test_empty_systems_match_the_array_route(p, m, n, k):
+    a = np.arange(m * n, dtype=np.int64).reshape(m, n)
+    b = np.ones((m, k), dtype=np.int64)
+    check_against_the_array_route(p, a, b, gf.zeros(min(m, n), min(m, n)))
+
+
 def test_quotient_map_is_one_elimination(monkeypatch):
     calls = []
-    original = gf.rref
+    original = gf._eliminate
 
-    def counted(a, p):
-        calls.append(a.shape)
-        return original(a, p)
+    def counted(rows, ncols, p):
+        calls.append((len(rows), ncols))
+        return original(rows, ncols, p)
 
-    monkeypatch.setattr(gf, "rref", counted)
+    monkeypatch.setattr(gf, "_eliminate", counted)
     counts = []
     for n in range(1, 9):
         calls.clear()

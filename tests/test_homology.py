@@ -11,7 +11,7 @@ from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
 from tiltlab.errors import InfiniteGlobalDimension, NotBasic
 
-from helpers import (change_of_basis, ext_dims_by_coordinates,
+from helpers import (change_of_basis, counit_map, ext_dims_by_coordinates,
                      presentations_match)
 
 
@@ -198,7 +198,7 @@ def test_t_as_right_module_decomposition(end_data):
 def test_counit_is_iso_on_torsion_class(setup, end_data):
     alg, projs, simples, _ = setup
     for x in (projs[1], projs[2], rep.injective(alg, 1), simples[3]):
-        cu = hl.counit_map(end_data, x)
+        cu = counit_map(end_data, x)
         if rep.hom_dim(end_data.t, x) and hl.ext_dim(end_data.t, x, 1) == 0:
             assert cu.is_iso()
 
@@ -335,7 +335,7 @@ def test_ext_table_builds_each_hom_space_once(capsys, monkeypatch):
     monkeypatch.setattr(rep, "hom_space", counted_hom)
     monkeypatch.setattr(hl, "ext_dim", flagged_ext)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
-    assert cli.main(["ext-table", bundled]) == 0
+    assert cli.main(["bside", bundled]) == 0
     capsys.readouterr()
     # 80 calls on 38 pairs when every degree built its own hom spaces
     assert seen and max(seen.values()) == 1
@@ -355,7 +355,7 @@ def test_endomorphism_algebra_builds_each_hom_space_once(capsys,
 
     monkeypatch.setattr(rep, "hom_space", counted_hom)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
-    assert cli.main(["ext-table", bundled]) == 0
+    assert cli.main(["bside", bundled]) == 0
     capsys.readouterr()
     # End(T) and the 3 x 3 pairs of summands of T; each End(s_i) was built
     # twice when the residue-field check built its own
