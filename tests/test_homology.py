@@ -335,7 +335,7 @@ def test_ext_table_builds_each_hom_space_once(capsys, monkeypatch):
     monkeypatch.setattr(rep, "hom_space", counted_hom)
     monkeypatch.setattr(hl, "ext_dim", flagged_ext)
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
-    assert cli.main(["bside", bundled]) == 0
+    assert cli.main(["ext-table", bundled]) == 0
     capsys.readouterr()
     # 80 calls on 38 pairs when every degree built its own hom spaces
     assert seen and max(seen.values()) == 1
