@@ -541,7 +541,13 @@ def _homology_modules(terms: list, into: list, out_of: list) -> list:
 
 
 def tensor_over_b(data: EndomorphismData, n: Module) -> TransportedModule:
-    """T (x)_B n as an A-module (n is a B-module)."""
+    """T (x)_B n as an A-module (n is a B-module), computed once per
+    encoding of n; the result is shared, so never mutate it."""
+    # B is built afresh for every End(T), so its memo already names T.
+    return data.b.memo(("tensor", n.encode()), lambda: _tensor(data, n))
+
+
+def _tensor(data: EndomorphismData, n: Module) -> TransportedModule:
     alg = data.t.algebra
     b = data.b
     p = b.p

@@ -358,58 +358,41 @@ def _sum_or_zero(alg, parts):
 
 # -- n = 2 extension-closure filtration ----------------------------------------
 
-def _base_class_witness(ctx: TiltingContext, f: Module, kind: int):
+def _base_class_witness(ctx: TiltingContext, f: Module, kind: int,
+                        capped: list):
     """A kernel/cokernel presentation of f over the two outer classes.
 
     kind 0: f = coker(U >-> V); kind 2: f = ker(U ->> V); with U a sum of
-    degree-2 class members and V a sum of degree-0 class members.
+    degree-2 class members and V a sum of degree-0 class members.  The
+    extra summand, U for kind 0 and V for kind 2, is a sum of total
+    dimension at most WITNESS_SLACK.  A pair whose p^dim Hom(U, V) maps
+    exceed ctx.cap is skipped, and dim Hom(U, V) appended to capped.
     """
     alg = f.algebra
-    ke2 = ctx.ke_members(2)
-    ke0 = ctx.ke_members(0)
-    if kind == 0:
-        small, big = ke2, ke0
-    else:
-        small, big = ke0, ke2
+    small, big = ctx.ke_members(2 - kind), ctx.ke_members(kind)
+    faithful, side = ((ModuleMap.is_mono, rep.cokernel) if kind == 0
+                      else (ModuleMap.is_epi, rep.kernel))
     for extra_parts in _sums_with_dim_bound(small, WITNESS_SLACK):
         extra = _sum_or_zero(alg, extra_parts)
-        dv = tuple(extra.dim_vector()[i] + f.dim_vector()[i]
-                   for i in range(len(f.dim_vector())))
+        dv = tuple(a + b for a, b in zip(extra.dim_vector(), f.dim_vector()))
         for other_parts in _sums_with_dim_vector(big, dv):
             other = _sum_or_zero(alg, other_parts)
-            if kind == 0:
-                u_mod, v_mod = extra, other     # coker(U >-> V) = f
-            else:
-                u_mod, v_mod = other, extra     # ker(U ->> V) = f
-            if u_mod.total_dim == 0 and kind == 0:
-                if rep.is_isomorphic(v_mod, f) is not None:
-                    return (u_mod, v_mod, None)
-                continue
-            if v_mod.total_dim == 0 and kind == 2:
-                if rep.is_isomorphic(u_mod, f) is not None:
+            u_mod, v_mod = (extra, other) if kind == 0 else (other, extra)
+            if extra.total_dim == 0:
+                if rep.is_isomorphic(other, f) is not None:
                     return (u_mod, v_mod, None)
                 continue
             homs = rep.hom_space(u_mod, v_mod)
-            if not homs:
-                continue
             try:
-                candidates = rep.all_maps(homs, f.p, skip_zero=True,
-                                          cap=ctx.cap)
-                for g in candidates:
-                    if kind == 0:
-                        if not g.is_mono():
-                            continue
-                        cok, _ = rep.cokernel(g)
-                        if rep.is_isomorphic(cok, f) is not None:
-                            return (u_mod, v_mod, g)
-                    else:
-                        if not g.is_epi():
-                            continue
-                        ker, _ = rep.kernel(g)
-                        if rep.is_isomorphic(ker, f) is not None:
-                            return (u_mod, v_mod, g)
+                g = next((g for g in rep.all_maps(homs, f.p, skip_zero=True,
+                                                  cap=ctx.cap)
+                          if faithful(g) and rep.is_isomorphic(
+                              side(g)[0], f) is not None), None)
             except rep.SearchExhausted:
+                capped.append(len(homs))
                 continue
+            if g is not None:
+                return (u_mod, v_mod, g)
     return None
 
 
@@ -449,10 +432,10 @@ def jms_filtration(ctx: TiltingContext, x: Module) -> Filtration:
                     "middle factor is not in the degree-1 class")
             witnesses.append(("class", 1))
             continue
-        found = {}
+        found, capped = {}, []
 
-        def base_test(m, _kind=i, _found=found):
-            w = _base_class_witness(ctx, m, _kind)
+        def base_test(m, _kind=i, _found=found, _capped=capped):
+            w = _base_class_witness(ctx, m, _kind, _capped)
             if w is not None:
                 _found[m.encode()] = w
                 return True
@@ -460,8 +443,11 @@ def jms_filtration(ctx: TiltingContext, x: Module) -> Filtration:
 
         memo = {}
         if not _in_extension_closure(f, base_test, memo):
+            bound = (f"search cap {ctx.cap} reached: skipped pairs (U, V): "
+                     f"{len(capped)}, the largest with {x.p}^{max(capped)} "
+                     "maps" if capped else f"slack {WITNESS_SLACK}")
             raise WitnessSearchExhausted(
-                f"no bounded witness for factor {i} (slack {WITNESS_SLACK})")
+                f"no bounded witness for factor {i} ({bound})")
         witnesses.append(("extension-closure", found.get(f.encode())))
     return Filtration(x, chain.inclusions, chain.factors,
                       ["E_0", "E_1", "E_2"], witnesses)

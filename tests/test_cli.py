@@ -118,6 +118,20 @@ def test_error_exits_with_one(bundled, capsys):
     assert code == 1
 
 
+def test_a_jms_refusal_at_the_search_cap_names_the_cap(bundled, capsys):
+    # factor 0 of 2 is coker(3 -> 2/3), but the 2^1 maps of Hom(3, 2/3)
+    # exceed cap 1, so that pair is skipped and the search is cut by the cap
+    code, out, err = run_cli(capsys, "filtration", bundled, "--module", "2",
+                             "--method", "jms", "--search-cap", "1")
+    assert code == 1 and not out
+    assert err == ("error: no bounded witness for factor 0 (search cap 1 "
+                   "reached: skipped pairs (U, V): 1, the largest with 2^1 "
+                   "maps)\n")
+    code, out, _ = run_cli(capsys, "filtration", bundled, "--module", "2",
+                           "--method", "jms")
+    assert code == 0 and "factor E_0: [0, 1, 0]" in out
+
+
 def test_check_tilting_report(bundled, capsys):
     code, out, _ = run_cli(capsys, "check-tilting", bundled)
     assert code == 0

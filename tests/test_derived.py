@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tiltlab import algebra, cli, derived, gf, homology, rep, tilting
 from tiltlab.errors import SearchExhausted
@@ -15,7 +15,8 @@ from tiltlab.errors import SearchExhausted
 from helpers import (complex_change_of_basis, cone_triangle,
                      derived_hom_dim_by_replacement, enumerate_by_full_hom,
                      has_invertible_block, has_invertible_component,
-                     has_projective_terms, identity_chain, is_nullhomotopic,
+                     has_projective_terms, identity_chain,
+                     is_derived_isomorphic_by_scan, is_nullhomotopic,
                      is_quasi_iso, part_blocks, rebuilt_over, uncached,
                      visibly_splits)
 
@@ -300,6 +301,55 @@ def _candidate(data, interval_modules):
     for f in rep.hom_space(*terms):
         d = d + f.scale(data.draw(st.integers(0, alg.p - 1)))
     return alg, combo, derived.Complex(alg, dict(enumerate(terms)), {0: d})
+
+
+def _to_minimize(data, a3, interval_modules):
+    """A two- or three-term complex over one algebra of interval_modules:
+    a _two_term (running example only) or a _candidate complex in degrees
+    0, 1, or M^2 -> N^2 with random blocks, N = M or not; a three-term one
+    is the cone of a random chain map between two of them."""
+    alg, indecs = data.draw(st.sampled_from(interval_modules))
+
+    def two_term():
+        kind = data.draw(st.sampled_from(
+            ["candidate", "repeated"] + (["two_term"] if alg is a3 else [])))
+        if kind == "two_term":
+            return _two_term(a3, data, 0)
+        if kind == "candidate":
+            return _candidate(data, [(alg, indecs)])[2]
+        m, n = (data.draw(st.sampled_from(indecs)) for _ in range(2))
+        n = m if data.draw(st.booleans()) else n
+        terms = [rep.direct_sum([m, m])[0], rep.direct_sum([n, n])[0]]
+        d = rep.zero_map(*terms)
+        for f in rep.hom_space(*terms):
+            d = d + f.scale(data.draw(st.integers(0, alg.p - 1)))
+        return derived.Complex(alg, dict(enumerate(terms)), {0: d})
+
+    x = two_term()
+    if not data.draw(st.booleans()):
+        return x
+    y = two_term()
+    f = derived.ChainMap(x, y, {}, check=False)
+    for g in derived.chain_maps(x, y):
+        f = f + g.scale(data.draw(st.integers(0, alg.p - 1)))
+    return derived.cone(f)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_minimize_complex_leaves_no_invertible_component(a3, interval_modules,
+                                                         data):
+    x = _to_minimize(data, a3, interval_modules)
+    m = derived.minimize_complex(x)
+    assert not any(has_invertible_component(d) for d in m.diffs.values())
+    # x itself exactly when it has nothing to cancel
+    assert (m is x) == (not any(has_invertible_component(d)
+                                for d in x.diffs.values()))
+    assert derived.cohomology_profile(m) == derived.cohomology_profile(x)
+    # the scan may try all p^dim Hom(x, m) maps, up to 2^20 on these inputs
+    assume(x.p ** len(derived.hom_homotopy(
+        derived.projective_replacement(x)[0], m)) <= 1024)
+    assert is_derived_isomorphic_by_scan(x, m)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

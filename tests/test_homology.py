@@ -314,6 +314,29 @@ def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
+def test_tor_table_tensors_each_module_once(capsys, monkeypatch):
+    seen, asked = {}, []
+    tensor, tensor_over_b = hl._tensor, hl.tensor_over_b
+
+    def counted(data, n):
+        key = (id(n.algebra), n.encode())
+        seen[key] = seen.get(key, 0) + 1
+        return tensor(data, n)
+
+    def asked_for(data, n):
+        asked.append(n.encode())
+        return tensor_over_b(data, n)
+
+    monkeypatch.setattr(hl, "_tensor", counted)
+    monkeypatch.setattr(hl, "tensor_over_b", asked_for)
+    bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
+    assert cli.main(["tor-table", bundled]) == 0
+    capsys.readouterr()
+    # 8 tensor products of 5 distinct B-modules when each was built anew
+    assert len(asked) == 8 and len(seen) == len(set(asked)) == 5
+    assert max(seen.values()) == 1
+
+
 def test_ext_table_builds_each_hom_space_once(capsys, monkeypatch):
     # hom_space calls made from inside ext_dim, per (P_j, y) pair
     seen, inside = {}, []
