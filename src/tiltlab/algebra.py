@@ -157,8 +157,9 @@ class BoundQuiverAlgebra:
     inputs (its opposite, projectives, global dimension, knitted
     indecomposables, Krull-Schmidt splits, projective covers, minimal
     projective resolutions, the Ext dimensions of a pair of modules in
-    every degree, Ext and Tor modules over End(T), one minimal projective
-    replacement per complex up to shift, and one pair (dim Hom^k,
+    every degree, Ext and Tor modules over End(T) and Tor dimension
+    vectors, one minimal projective replacement per complex up to
+    shift, and one pair (dim Hom^k,
     rank delta^k) of the derived Hom complex per pair of complexes up to
     shift and relative degree k), computed once and kept as long as the
     algebra object.

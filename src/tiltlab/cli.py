@@ -16,7 +16,7 @@ from . import derived, rep, tilting, tstructures
 from .errors import (MalformedRelation, MathRefusal, NonAdmissible,
                      ParseError, TiltlabError, ValidationError)
 from .homology import (ext_as_b_module, projective_dimension,
-                       t_as_right_module, tor_over_b)
+                       t_as_right_module, tor_dims)
 
 FORMAT_HEADER = "tiltlab-format 1"
 
@@ -342,12 +342,10 @@ def cmd_tor_table(ws, args):
     lines = [f"dim Tor_i^B(T, Ext^j(T, M)) as [i][j], i, j = 0..{ctx.n}:"]
     for name in names:
         m = ws.modules[name]
-        grid = []
-        for i in range(ctx.n + 1):
-            grid.append([tor_over_b(ctx.data,
-                                    ext_as_b_module(ctx.data, m, j),
-                                    i).total_dim
-                         for j in range(ctx.n + 1)])
+        tors = [tor_dims(ctx.data, ext_as_b_module(ctx.data, m, j))
+                for j in range(ctx.n + 1)]
+        grid = [[sum(t[i]) if i < len(t) else 0 for t in tors]
+                for i in range(ctx.n + 1)]
         rows[name] = grid
         lines.append(f"  {name}: {grid}")
     return {"lines": lines, "table": rows}

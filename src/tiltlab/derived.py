@@ -399,12 +399,20 @@ def derived_hom_dim(x: Complex, y: Complex) -> int:
     j = k + top(x) - top(y), the degree of the same maps between x and y
     shifted to top degree 0.  Hom(x, y) reads the pair at j = top(x) -
     top(y) and the rank at j - 1, which is the pair Hom(x, y[-1]) reads
-    first, so adjacent shifts share a rank."""
+    first, so adjacent shifts share a rank.  Where no degree n has both
+    P^n and y^(n+k) nonzero, Hom^k = 0 and the pair is (0, 0), read off
+    the supports with no entry kept."""
     if y.is_zero_complex():
         return 0
     j = x.top() - y.top()
+    # supports of P shifted by -top(x) and of y shifted by -top(y)
+    px_support = _top_replacement(x).support
+    y_support = {n - y.top() for n in y.support}
 
     def pair(i: int) -> tuple[int, int]:
+        if not any(n + i in y_support for n in px_support):
+            return 0, 0
+
         def compute():
             px = minimal_replacement(x)
             return hom_complex_rank(px.terms, px.diffs, y.terms, y.diffs,
@@ -502,11 +510,14 @@ def minimal_replacement(x: Complex) -> Complex:
     shift: x is keyed by its shift-class key, and the replacement of x[top]
     that is stored is shifted back.  Its terms are shared, so never mutate
     it."""
-    top = x.top()
-    return shift(x.algebra.memo(
-        ("minimal", x.shift_key()),
-        lambda: minimize_complex(projective_replacement(shift(x, top))[0])),
-        -top)
+    return shift(_top_replacement(x), -x.top())
+
+
+def _top_replacement(x: Complex) -> Complex:
+    """The minimized projective replacement of x[top(x)], computed once
+    per shift-class key."""
+    return x.algebra.memo(("minimal", x.shift_key()), lambda: minimize_complex(
+        projective_replacement(shift(x, x.top()))[0]))
 
 
 def _split_by_chain_idempotent(x: Complex, e: ChainMap):

@@ -37,13 +37,6 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.mod(a @ b, p)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The Kronecker product of two matrices, as numpy's kron computes it,
-    by one broadcast product (not reduced mod p)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def mulchain(p: int, *mats: np.ndarray) -> np.ndarray:
     out = mats[0]
     for m in mats[1:]:
@@ -103,12 +96,16 @@ def rank(a: np.ndarray, p: int) -> int:
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of ker(a) as columns of an (n, k) matrix: one column per free
-    column j of the echelon form, 1 at j and minus column j at the pivots."""
-    m, n = a.shape
-    if m == 0:
+    """Basis of ker(a) as columns of an (n, k) matrix."""
+    return nullspace_of_rows(np.mod(a, p).tolist(), a.shape[1], p)
+
+
+def nullspace_of_rows(rows: list, n: int, p: int) -> np.ndarray:
+    """nullspace of the matrix with the row lists `rows` (entries in
+    [0, p), reduced in place) and n columns: one column per free column j
+    of the echelon form, 1 at j and minus column j at the pivots."""
+    if not rows:
         return eye(n)
-    rows = np.mod(a, p).tolist()
     pivots = _eliminate(rows, n, p)
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]

@@ -50,14 +50,21 @@ def coords_in_basis(basis: list, fs: list) -> np.ndarray:
 def projective_cover(m: Module) -> tuple[Module, ModuleMap]:
     """Minimal projective cover P(M) ->> M, computed once per encoding of m;
     P is shared, so never mutate it, and eps lands in the given m."""
-    total, epi = m.algebra.memo(("cover", m.encode()), lambda: _cover(m))
-    return total, ModuleMap(total, m, epi.blocks, check=False)
+    return _cover_of(m)[:2]
 
 
-def _cover(m: Module) -> tuple[Module, ModuleMap]:
+def _cover_of(m: Module):
+    """(P, eps, tops) for the cover P ->> m, eps landing in m, where P is
+    the direct sum of the P(v) for v in tops, in that order."""
+    total, epi, tops = m.algebra.memo(("cover", m.encode()),
+                                      lambda: _cover(m))
+    return total, ModuleMap(total, m, epi.blocks, check=False), tops
+
+
+def _cover(m: Module):
     alg = m.algebra
     tp, pi = rep.top(m)
-    summands = []
+    summands, tops = [], []
     blocks_per_summand = []
     for v in m.vertex_order:
         t_v = tp.dims[v]
@@ -77,17 +84,18 @@ def _cover(m: Module) -> tuple[Module, ModuleMap]:
                 blocks[w] = (np.concatenate(cols, axis=1)
                              if cols else gf.zeros(m.dims[w], 0))
             summands.append(pv)
+            tops.append(v)
             blocks_per_summand.append(blocks)
     if not summands:
         z = rep.zero_module(alg)
-        return z, rep.zero_map(z, m)
+        return z, rep.zero_map(z, m), ()
     total, _, _ = rep.direct_sum(summands)
     blocks = {w: np.concatenate([b[w] for b in blocks_per_summand], axis=1)
               for w in m.vertex_order}
     epi = ModuleMap(total, m, blocks)
     if not epi.is_epi():
         raise InternalInconsistency("projective cover failed to surject")
-    return total, epi
+    return total, epi, tuple(tops)
 
 
 def minimal_projective_resolution(m: Module):
@@ -97,26 +105,89 @@ def minimal_projective_resolution(m: Module):
     Computed once per encoding of m; every call gets fresh lists,
     and eps lands in the given m.
     """
-    terms, diffs, eps = m.algebra.memo(("resolution", m.encode()),
-                                       lambda: _resolve(m))
+    terms, diffs, eps, _ = _resolution(m)
     return list(terms), list(diffs), ModuleMap(eps.source, m, eps.blocks,
                                                check=False)
 
 
+def _resolution(m: Module):
+    """(terms, diffs, eps, tops) of the minimal projective resolution of m,
+    computed once per encoding of m: terms[k] is the direct sum of the P(v)
+    for v in tops[k], in that order."""
+    return m.algebra.memo(("resolution", m.encode()), lambda: _resolve(m))
+
+
 def _resolve(m: Module):
-    terms, diffs = [], []
-    p0, eps = projective_cover(m)
+    terms, diffs, tops = [], [], []
+    p0, eps, top = _cover_of(m)
     terms.append(p0)
+    tops.append(top)
     current_ker, current_incl = rep.kernel(eps)
     while current_ker.total_dim > 0:
         if len(terms) > RESOLUTION_CAP:
             raise InfiniteGlobalDimension(
                 f"projective resolution exceeds {RESOLUTION_CAP} terms")
-        pn, cover = projective_cover(current_ker)
+        pn, cover, top = _cover_of(current_ker)
         diffs.append(compose(current_incl, cover))
         terms.append(pn)
+        tops.append(top)
         current_ker, current_incl = rep.kernel(cover)
-    return terms, diffs, eps
+    return terms, diffs, eps, tops
+
+
+def _components(alg: BoundQuiverAlgebra, d: ModuleMap, src: tuple,
+                tgt: tuple) -> dict:
+    """{(a, b): [(c, q)]} for a map d from the direct sum of the P(v) for v
+    in src to that of the P(w) for w in tgt, both in that order: d sends
+    the trivial path of the a-th summand P(v) to the sum of the c q in the
+    b-th summand P(w), over the basis paths q from w to v.  Read off the
+    coordinates of d, with nothing solved."""
+    paths = {w: rep.projective_structure(alg, w)[1] for w in {*src, *tgt}}
+    out, col = {}, dict.fromkeys(alg.quiver.vertices, 0)
+    for a, v in enumerate(src):
+        j = col[v] + next(k for k, q in enumerate(paths[v][v])
+                          if not q.arrows)
+        for x in col:
+            col[x] += len(paths[v][x])
+        image, row = d.blocks[v][:, j].tolist(), 0
+        for b, w in enumerate(tgt):
+            qs = paths[w][v]
+            lin = [(c, q) for c, q in zip(image[row:row + len(qs)], qs) if c]
+            row += len(qs)
+            if lin:
+                out[a, b] = lin
+    return out
+
+
+def resolution_image(alg: BoundQuiverAlgebra, n: Module, out, part, block,
+                     dual: bool = False):
+    """F(P_*) for the minimal projective resolution P_* of n over alg and
+    an additive functor F into modules over out, given on the summands by
+    F(P(v)) = part(v) and on the components of the differentials by
+    block(lin) (vertex of out -> matrix F(P(v)) -> F(P(w))), for the
+    component that sends the trivial path of P(v) to the sum of the c q in
+    P(w), lin = [(c, q)] (_components).  Returns (terms, maps) with
+    maps[k]: terms[k+1] -> terms[k].  When dual, part(v) is the dual
+    D F(P(v)) and maps[k]: terms[k] -> terms[k+1] is the transpose, so the
+    result is D F(P_*).  Nothing is solved."""
+    _, diffs, _, tops = _resolution(n)
+    parts = [[part(v) for v in top] for top in tops]
+    terms = [rep.direct_sum(ps)[0] if ps else rep.zero_module(out)
+             for ps in parts]
+    maps = []
+    for k, d in enumerate(diffs):
+        comps = {key: block(lin) for key, lin in
+                 _components(alg, d, tops[k + 1], tops[k]).items()}
+        mats = {v: np.block([[comps[a, b][v] if (a, b) in comps
+                              else gf.zeros(tgt.dims[v], src.dims[v])
+                              for a, src in enumerate(parts[k + 1])]
+                             for b, tgt in enumerate(parts[k])])
+                for v in out.quiver.vertices}
+        maps.append(ModuleMap(terms[k], terms[k + 1],
+                              {v: m.T for v, m in mats.items()}, check=False)
+                    if dual else
+                    ModuleMap(terms[k + 1], terms[k], mats, check=False))
+    return terms, maps
 
 
 def projective_dimension(m: Module) -> int:
@@ -307,6 +378,7 @@ class EndomorphismData:
         self.vertex_summand = vertex_summand  # B-vertex -> summand position
         self.arrow_matrices = arrow_matrices  # arrow name -> total matrix
         self._psi_cache = {}
+        self._path_cache = {}
 
     def psi(self, i: int) -> np.ndarray:
         """Total matrix on T of the i-th path-basis element of B."""
@@ -322,6 +394,26 @@ class EndomorphismData:
             out = _arrow_product(path.arrows, self.arrow_matrices, self.b.p)
         self._psi_cache[i] = out
         return out
+
+    def summand(self, u: int) -> Module:
+        """The summand T_u of T at the vertex u of B."""
+        return self.summands[self.vertex_summand[u]][0]
+
+    def path_blocks(self, i: int) -> dict:
+        """proj_w psi(q) inc_v: T_v -> T_w for the i-th basis path q of B,
+        from w to v, as its block at each vertex of A (a map of A-modules
+        between summands of T)."""
+        got = self._path_cache.get(i)
+        if got is None:
+            q = self.b.path_basis[i]
+            _, _, proj = self.summands[self.vertex_summand[q.source]]
+            _, inc, _ = self.summands[self.vertex_summand[q.target]]
+            t, psi = self.t, self.psi(i)
+            got = self._path_cache[i] = {
+                x: gf.mulchain(self.b.p, proj.blocks[x],
+                               psi[t.slice(x), t.slice(x)], inc.blocks[x])
+                for x in t.vertex_order}
+        return got
 
     def psi_element(self, vec: np.ndarray) -> np.ndarray:
         out = gf.zeros(self.t.total_dim, self.t.total_dim)
@@ -499,19 +591,6 @@ def hom_as_b_module(data: EndomorphismData, x: Module) -> TransportedModule:
     return TransportedModule(mod, bases, hom_basis)
 
 
-def hom_induced_map(data: EndomorphismData, src: TransportedModule,
-                    tgt: TransportedModule, f: ModuleMap) -> ModuleMap:
-    """Hom(T, f) as a map of B-modules."""
-    p = data.b.p
-    if src.module.total_dim == 0 or tgt.module.total_dim == 0:
-        return rep.zero_map(src.module, tgt.module)
-    tgt_flat = np.stack([h.total().flatten() for h in tgt.extra], axis=1) % p
-    moved = f.total() @ np.stack([h.total() for h in src.extra])
-    phi = gf.solve(tgt_flat, moved.reshape(len(src.extra), -1).T % p, p)
-    return rep.abstract_map_to_module_map(src.module, src.bases,
-                                          tgt.module, tgt.bases, phi)
-
-
 def ext_as_b_module(data: EndomorphismData, x: Module, i: int) -> Module:
     """Ext^i_A(T, x) as a B-module, from an injective coresolution of x.
 
@@ -524,13 +603,40 @@ def ext_as_b_module(data: EndomorphismData, x: Module, i: int) -> Module:
 
 
 def _ext_modules(data: EndomorphismData, x: Module) -> list:
-    """Every Ext^j(T, x): the cohomology of Hom(T, I^*) for one coresolution."""
-    terms, diffs, _ = injective_coresolution(x)
-    homs = [hom_as_b_module(data, term) for term in terms]
-    maps = [hom_induced_map(data, homs[k], homs[k + 1], d)
-            for k, d in enumerate(diffs)]
-    return _homology_modules([h.module for h in homs],
-                             [None] + maps, maps + [None])
+    """Every Ext^j(T, x): the cohomology of Hom(T, I^*) for I^* = D(Q_*),
+    with Q_* the minimal projective resolution of D(x) over A^op, read off
+    T with no Hom space solved.  Hom_A(T, D(Q)) = D(Q (x)_A T) naturally
+    in Q, and P^op(v) (x)_A T = T_v, the space of T at the vertex v of A,
+    so a term Q_k = (+)_a P^op(v_a) gives (+)_a D(T_(v_a)) (_dual_at), and
+    a component of a differential, the sum of the c q over paths q of A^op
+    from w to v, gives the transpose of the sum of the c q read as paths of
+    A from v to w: T_v -> T_w, on every summand of T."""
+    alg, b = data.t.algebra, data.b
+    summands = {u: data.summand(u) for u in b.quiver.vertices}
+
+    def block(lin):
+        return {u: sum(c * s.path_matrix(tuple(reversed(q.arrows)), q.target)
+                       for c, q in lin) % b.p for u, s in summands.items()}
+    op = rep.opposite_of(alg)
+    terms, maps = resolution_image(op, rep.dual_module(x, op), b,
+                                   lambda v: _dual_at(data, v), block,
+                                   dual=True)
+    return _homology_modules(terms, [None] + maps, maps + [None])
+
+
+def _dual_at(data: EndomorphismData, v: int) -> Module:
+    """D(T_v) = Hom_A(T, I(v)) as a B-module, for the space T_v of T at
+    the vertex v of A: D((T_u)_v) at the vertex u of B, and a path q acting
+    by the transpose of path_blocks(q) at v.  Built once per vertex."""
+    b = data.b
+
+    def build():
+        act = {a.name: data.path_blocks(
+            b.index[(a.source, (a.name,))])[v].T.copy()
+            for a in b.quiver.arrows}
+        return Module(b, {u: data.summand(u).dims[v]
+                          for u in b.quiver.vertices}, act)
+    return b.memo(("dual_at", v), build)
 
 
 def _homology_modules(terms: list, into: list, out_of: list) -> list:
@@ -540,55 +646,40 @@ def _homology_modules(terms: list, into: list, out_of: list) -> list:
             for term, f, g in zip(terms, into, out_of)]
 
 
-def tensor_over_b(data: EndomorphismData, n: Module) -> TransportedModule:
-    """T (x)_B n as an A-module (n is a B-module), computed once per
-    encoding of n; the result is shared, so never mutate it."""
-    # B is built afresh for every End(T), so its memo already names T.
-    return data.b.memo(("tensor", n.encode()), lambda: _tensor(data, n))
+def tensor_resolution(data: EndomorphismData, n: Module):
+    """T (x)_B P_* for the minimal projective resolution P_* of the
+    B-module n, as (terms, maps) with maps[k]: terms[k+1] -> terms[k],
+    built with nothing solved.  T (x)_B P(u) = T_u, the summand of T at u,
+    so terms[k] is (+)_a T_(u_a) over the summands P(u_a) of P_k, and a
+    component P(v) -> P(w) of a differential, sending the trivial path of
+    P(v) to c in e_w B e_v, becomes proj_w psi(c) inc_v: T_v -> T_w."""
+    alg, b = data.t.algebra, data.b
+
+    def block(lin):
+        maps = [(c, data.path_blocks(b.index[(q.source, q.arrows)]))
+                for c, q in lin]
+        return {x: sum(c * m[x] for c, m in maps) % b.p
+                for x in alg.quiver.vertices}
+    return resolution_image(b, n, alg, data.summand, block)
 
 
-def _tensor(data: EndomorphismData, n: Module) -> TransportedModule:
-    alg = data.t.algebra
-    b = data.b
-    p = b.p
-    dt, dn = data.t.total_dim, n.total_dim
-    if dt == 0 or dn == 0:
-        mod = rep.zero_module(alg)
-        return TransportedModule(mod, module_self_bases(mod), None)
-    # balance relations: psi(pi) t (x) x - t (x) pi.x for every basis pi
-    cols = []
-    for i in range(b.dim):
-        left = gf.kron(data.psi(i), gf.eye(dn)) % p
-        right = gf.kron(gf.eye(dt), n.element_total(b.basis_vector(i))) % p
-        diff = (left - right) % p
-        if diff.any():
-            cols.append(diff)
-    relmat = (np.concatenate(cols, axis=1) % p
-              if cols else gf.zeros(dt * dn, 0))
-    proj, sec = gf.quotient_map(relmat, dt * dn, p)
+def tor_dims(data: EndomorphismData, n: Module) -> list:
+    """The dimension vectors of Tor_i^B(T, n) for i = 0 .. pd n (none for
+    n = 0), from one rank per vertex block of each map of
+    tensor_resolution; no Tor module is built.  Computed once per encoding
+    of n."""
+    if n.total_dim == 0:
+        return []
 
-    def rho(i):
-        act = gf.kron(data.t.element_total(alg.basis_vector(i)),
-                      gf.eye(dn)) % p
-        return gf.mulchain(p, proj, act, sec)
-
-    mod, bases = rep.rep_from_abstract(alg, proj.shape[0], rho)
-    return TransportedModule(mod, bases, (proj, sec, n))
-
-
-def tensor_induced_map(data: EndomorphismData, src: TransportedModule,
-                       tgt: TransportedModule, g: ModuleMap) -> ModuleMap:
-    """T (x) g for a map g of B-modules."""
-    p = data.b.p
-    if src.module.total_dim == 0 or tgt.module.total_dim == 0:
-        return rep.zero_map(src.module, tgt.module)
-    proj_s, sec_s, _ = src.extra
-    proj_t, _, _ = tgt.extra
-    dt = data.t.total_dim
-    big = gf.kron(gf.eye(dt), g.total()) % p
-    phi = gf.mulchain(p, proj_t, big, sec_s)
-    return rep.abstract_map_to_module_map(src.module, src.bases,
-                                          tgt.module, tgt.bases, phi)
+    def compute():
+        terms, maps = tensor_resolution(data, n)
+        ranks = [{v: gf.rank(blk, data.b.p) for v, blk in f.blocks.items()}
+                 for f in maps]
+        return [tuple(t.dims[v] - r_in.get(v, 0) - r_out.get(v, 0)
+                      for v in t.vertex_order)
+                for t, r_in, r_out in zip(terms, ranks + [{}], [{}] + ranks)]
+    # n.algebra is B, built afresh for every End(T), so its memo names T.
+    return n.algebra.memo(("tor_dims", n.encode()), compute)
 
 
 def tor_over_b(data: EndomorphismData, n: Module, i: int) -> Module:
@@ -603,13 +694,9 @@ def tor_over_b(data: EndomorphismData, n: Module, i: int) -> Module:
 
 
 def _tor_modules(data: EndomorphismData, n: Module) -> list:
-    """Every Tor_i^B(T, n): the homology of T (x)_B P_* for one resolution."""
-    terms, diffs, _ = minimal_projective_resolution(n)
-    tens = [tensor_over_b(data, term) for term in terms]
-    maps = [tensor_induced_map(data, tens[k + 1], tens[k], d)
-            for k, d in enumerate(diffs)]
-    return _homology_modules([t.module for t in tens],
-                             maps + [None], [None] + maps)
+    """Every Tor_i^B(T, n): the homology of T (x)_B P_*."""
+    terms, maps = tensor_resolution(data, n)
+    return _homology_modules(terms, maps + [None], [None] + maps)
 
 
 def t_as_right_module(data: EndomorphismData) -> Module:

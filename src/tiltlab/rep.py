@@ -21,6 +21,9 @@ END_ENUM_CAP = 2 ** 20
 class Module:
     def __init__(self, algebra: BoundQuiverAlgebra, dims: dict,
                  action: dict, check: bool = True):
+        """With check=False the action matrices are taken as given: reduced
+        int64 arrays that nobody mutates afterwards, as every unchecked
+        caller in this module passes; the relations are not checked."""
         self.algebra = algebra
         self.p = algebra.p
         q = algebra.quiver
@@ -31,7 +34,8 @@ class Module:
             shape = (self.dims[a.target], self.dims[a.source])
             if m is None:
                 m = gf.zeros(*shape)
-            m = gf.asmat(m, self.p)
+            elif check:
+                m = gf.asmat(m, self.p)
             if m.shape != shape:
                 raise RelationViolated(
                     f"arrow {a.name}: matrix shape {m.shape} != {shape}")
@@ -70,17 +74,6 @@ class Module:
 
     def slice(self, v: int) -> slice:
         return slice(self.offsets[v], self.offsets[v] + self.dims[v])
-
-    def element_total(self, vec: np.ndarray) -> np.ndarray:
-        """Total-space matrix of an algebra element (vector over path_basis)."""
-        m = gf.zeros(self.total_dim, self.total_dim)
-        for i in np.nonzero(vec)[0]:
-            path = self.algebra.path_basis[int(i)]
-            blk = self.path_matrix(path.arrows, path.source)
-            m[self.slice(path.target), self.slice(path.source)] = (
-                m[self.slice(path.target), self.slice(path.source)]
-                + int(vec[i]) * blk) % self.p
-        return m
 
     def dim_vector(self) -> tuple:
         return tuple(self.dims[v] for v in self.vertex_order)
@@ -208,43 +201,36 @@ def hom_space(m: Module, n: Module) -> list[ModuleMap]:
     if m.algebra is not n.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
     p = m.p
-    layout = []
-    off = 0
+    off, nunk = {}, 0
     for v in m.vertex_order:
-        size = n.dims[v] * m.dims[v]
-        layout.append((v, off, size))
-        off += size
-    nunk = off
+        off[v] = nunk
+        nunk += n.dims[v] * m.dims[v]
     if nunk == 0:
         return []
+    # unknowns vec(F_v), column by column; one row per entry (i, j) of
+    # N_a F_s - F_t M_a, column by column
     rows = []
     for a in m.algebra.quiver.arrows:
         s, t = a.source, a.target
-        neq = n.dims[t] * m.dims[s]
-        if neq == 0:
-            continue
-        block = gf.zeros(neq, nunk)
-        for v, voff, size in layout:
-            if size == 0:
-                continue
-            if v == s:
-                # vec(N_a F_s) = (I_{m_s} (x) N_a) vec(F_s), column-major vec
-                block[:, voff:voff + size] = (
-                    block[:, voff:voff + size]
-                    + gf.kron(gf.eye(m.dims[s]), n.action[a.name])) % p
-            if v == t:
-                block[:, voff:voff + size] = (
-                    block[:, voff:voff + size]
-                    - gf.kron(m.action[a.name].T, gf.eye(n.dims[t]))) % p
-        rows.append(block)
-    sys = np.concatenate(rows, axis=0) % p if rows else gf.zeros(0, nunk)
-    basis = gf.nullspace(sys, p)
+        ns, nt = n.dims[s], n.dims[t]
+        na, ma = n.action[a.name].tolist(), m.action[a.name].tolist()
+        for j in range(m.dims[s]):
+            base = off[s] + j * ns
+            for i in range(nt):
+                row = [0] * nunk
+                row[base:base + ns] = na[i]
+                for c, mc in enumerate(ma):
+                    if mc[j]:
+                        k = off[t] + i + c * nt
+                        row[k] = (row[k] - mc[j]) % p
+                rows.append(row)
+    basis = gf.nullspace_of_rows(rows, nunk, p)
     out = []
     for k in range(basis.shape[1]):
         blocks = {}
-        for v, voff, size in layout:
-            blocks[v] = basis[voff:voff + size, k].reshape(
-                (n.dims[v], m.dims[v]), order="F")
+        for v in m.vertex_order:
+            blocks[v] = basis[off[v]:off[v] + n.dims[v] * m.dims[v],
+                              k].reshape((n.dims[v], m.dims[v]), order="F")
         out.append(ModuleMap(m, n, blocks, check=False))
     return out
 
@@ -355,12 +341,10 @@ def direct_sum(mods: list[Module]):
     incs, projs = [], []
     offs = {v: 0 for v in alg.quiver.vertices}
     for m in mods:
-        ib, pb = {}, {}
-        for v in alg.quiver.vertices:
-            inc = gf.zeros(dims[v], m.dims[v])
-            inc[offs[v]:offs[v] + m.dims[v], :] = gf.eye(m.dims[v])
-            ib[v] = inc
-            pb[v] = inc.T.copy()
+        ib = {v: np.eye(dims[v], m.dims[v], -offs[v], dtype=np.int64)
+              for v in alg.quiver.vertices}
+        pb = {v: np.eye(m.dims[v], dims[v], offs[v], dtype=np.int64)
+              for v in alg.quiver.vertices}
         incs.append(ModuleMap(m, total, ib, check=False))
         projs.append(ModuleMap(total, m, pb, check=False))
         for v in alg.quiver.vertices:
@@ -677,18 +661,3 @@ def rep_from_abstract(alg: BoundQuiverAlgebra, space_dim: int, rho):
             raise ValueError(f"action of arrow {a.name} leaves its component")
         act[a.name] = x
     return Module(alg, dims, act, check=True), bases
-
-
-def abstract_map_to_module_map(src: Module, src_bases: dict,
-                               tgt: Module, tgt_bases: dict,
-                               phi: np.ndarray) -> ModuleMap:
-    """Total-space linear map (commuting with the action) -> ModuleMap."""
-    p = src.p
-    blocks = {}
-    for v in src.vertex_order:
-        moved = gf.mul(phi, src_bases[v], p)
-        x = gf.solve(tgt_bases[v], moved, p)
-        if x is None:
-            raise ValueError(f"map does not respect the vertex split at {v}")
-        blocks[v] = x
-    return ModuleMap(src, tgt, blocks, check=False)

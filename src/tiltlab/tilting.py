@@ -17,7 +17,7 @@ from .errors import (InternalInconsistency, ModeUnsupported,
 from .homology import (endomorphism_algebra,
                        ext_as_b_module, ext_dim, ext_dim_checked,
                        global_dimension, minimal_projective_resolution,
-                       tor_over_b)
+                       tor_dims, tor_over_b)
 from .rep import Module, ModuleMap, compose
 
 # total dimension of the extra class members in a kernel/cokernel witness
@@ -197,17 +197,15 @@ class TiltingContext:
 
 
 def is_sequentially_static(ctx: TiltingContext, m: Module):
-    """Returns (True, None) or (False, (i, j, Tor_i(T, Ext^j(T,m))))."""
+    """Returns (True, None) or (False, (i, j, Tor_i(T, Ext^j(T,m)))) for
+    the least such j and then i; only the witness is built as a module."""
     for j in range(ctx.n + 1):
         ext_j = ext_as_b_module(ctx.data, m, j)
         if ext_j.total_dim == 0:
             continue
-        for i in range(max(ctx.n, global_dimension(ctx.data.b)) + 1):
-            if i == j:
-                continue
-            tor = tor_over_b(ctx.data, ext_j, i)
-            if tor.total_dim:
-                return False, (i, j, tor)
+        for i, dims in enumerate(tor_dims(ctx.data, ext_j)):
+            if i != j and any(dims):
+                return False, (i, j, tor_over_b(ctx.data, ext_j, i))
     return True, None
 
 

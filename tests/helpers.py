@@ -513,7 +513,7 @@ def counit_map(data, x):
     """Evaluation T (x)_B Hom(T, x) -> x."""
     p = data.b.p
     hom_mod = homology.hom_as_b_module(data, x)
-    tens = homology.tensor_over_b(data, hom_mod.module)
+    tens = tensor_over_b(data, hom_mod.module)
     if tens.module.total_dim == 0:
         return rep.zero_map(tens.module, x)
     proj, sec, n = tens.extra
@@ -536,5 +536,120 @@ def counit_map(data, x):
             p).any():
         raise InternalInconsistency("evaluation does not kill the relations")
     phi = gf.mul(ev, sec, p)
-    return rep.abstract_map_to_module_map(tens.module, tens.bases, x,
+    return abstract_map_to_module_map(tens.module, tens.bases, x,
                                           homology.module_self_bases(x), phi)
+
+
+# -- Hom(T, -) and T (x)_B - by solves and the balance quotient, as oracles ---
+
+def hom_induced_map(data, src, tgt, f):
+    """Hom(T, f) as a map of B-modules, between two results of
+    homology.hom_as_b_module, by one solve in the Hom basis of the target."""
+    p = data.b.p
+    if src.module.total_dim == 0 or tgt.module.total_dim == 0:
+        return rep.zero_map(src.module, tgt.module)
+    tgt_flat = np.stack([h.total().flatten() for h in tgt.extra], axis=1) % p
+    moved = f.total() @ np.stack([h.total() for h in src.extra])
+    phi = gf.solve(tgt_flat, moved.reshape(len(src.extra), -1).T % p, p)
+    return abstract_map_to_module_map(src.module, src.bases,
+                                          tgt.module, tgt.bases, phi)
+
+
+def tensor_over_b(data, n):
+    """T (x)_B n as an A-module (n is a B-module): the quotient of
+    T (x)_F n by the balance relations psi(b) t (x) x - t (x) b.x."""
+    alg = data.t.algebra
+    b = data.b
+    p = b.p
+    dt, dn = data.t.total_dim, n.total_dim
+    if dt == 0 or dn == 0:
+        mod = rep.zero_module(alg)
+        return homology.TransportedModule(mod, homology.module_self_bases(mod),
+                                          None)
+    cols = []
+    for i in range(b.dim):
+        left = np.kron(data.psi(i), gf.eye(dn)) % p
+        right = np.kron(gf.eye(dt), element_total(n, b.basis_vector(i))) % p
+        diff = (left - right) % p
+        if diff.any():
+            cols.append(diff)
+    relmat = (np.concatenate(cols, axis=1) % p
+              if cols else gf.zeros(dt * dn, 0))
+    proj, sec = gf.quotient_map(relmat, dt * dn, p)
+
+    def rho(i):
+        act = np.kron(element_total(data.t, alg.basis_vector(i)),
+                      gf.eye(dn)) % p
+        return gf.mulchain(p, proj, act, sec)
+
+    mod, bases = rep.rep_from_abstract(alg, proj.shape[0], rho)
+    return homology.TransportedModule(mod, bases, (proj, sec, n))
+
+
+def tensor_induced_map(data, src, tgt, g):
+    """T (x) g for a map g of B-modules, between two results of
+    tensor_over_b."""
+    p = data.b.p
+    if src.module.total_dim == 0 or tgt.module.total_dim == 0:
+        return rep.zero_map(src.module, tgt.module)
+    proj_s, sec_s, _ = src.extra
+    proj_t, _, _ = tgt.extra
+    dt = data.t.total_dim
+    big = np.kron(gf.eye(dt), g.total()) % p
+    phi = gf.mulchain(p, proj_t, big, sec_s)
+    return abstract_map_to_module_map(src.module, src.bases,
+                                          tgt.module, tgt.bases, phi)
+
+
+def hom_space_by_kron(m, n) -> list:
+    """The basis of Hom(m, n) from one system of Kronecker blocks,
+    vec(N_a F_s) = (I (x) N_a) vec(F_s) and vec(F_t M_a) = (M_a^T (x) I)
+    vec(F_t), column-major vec, as the total matrices of its maps."""
+    p = m.p
+    layout, off = [], 0
+    for v in m.vertex_order:
+        layout.append((v, off, n.dims[v] * m.dims[v]))
+        off += n.dims[v] * m.dims[v]
+    if off == 0:
+        return []
+    rows = [gf.zeros(0, off)]
+    for a in m.algebra.quiver.arrows:
+        s, t = a.source, a.target
+        block = gf.zeros(n.dims[t] * m.dims[s], off)
+        for v, voff, size in layout:
+            if v == s and size:
+                block[:, voff:voff + size] += np.kron(
+                    gf.eye(m.dims[s]), n.action[a.name])
+            if v == t and size:
+                block[:, voff:voff + size] -= np.kron(
+                    m.action[a.name].T, gf.eye(n.dims[t]))
+        rows.append(block % p)
+    basis = gf.nullspace(np.concatenate(rows, axis=0), p)
+    return [ModuleMap(m, n, {v: basis[voff:voff + size, k].reshape(
+        (n.dims[v], m.dims[v]), order="F") for v, voff, size in layout},
+        check=False).total() for k in range(basis.shape[1])]
+
+
+def element_total(m, vec):
+    """Total-space matrix on the module m of an algebra element (a vector
+    over path_basis)."""
+    out = gf.zeros(m.total_dim, m.total_dim)
+    for i in np.nonzero(vec)[0]:
+        path = m.algebra.path_basis[int(i)]
+        blk = m.path_matrix(path.arrows, path.source)
+        rows, cols = m.slice(path.target), m.slice(path.source)
+        out[rows, cols] = (out[rows, cols] + int(vec[i]) * blk) % m.p
+    return out
+
+
+def abstract_map_to_module_map(src, src_bases, tgt, tgt_bases, phi):
+    """The ModuleMap of a total-space linear map phi that commutes with the
+    action, between modules given by rep.rep_from_abstract with their
+    vertex bases, one solve per vertex."""
+    blocks = {}
+    for v in src.vertex_order:
+        x = gf.solve(tgt_bases[v], gf.mul(phi, src_bases[v], src.p), src.p)
+        if x is None:
+            raise ValueError(f"map does not respect the vertex split at {v}")
+        blocks[v] = x
+    return ModuleMap(src, tgt, blocks, check=False)

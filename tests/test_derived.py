@@ -4,6 +4,7 @@ import contextlib
 import io
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -688,6 +689,30 @@ def test_adjacent_shifts_share_a_hom_complex_rank(universes, monkeypatch):
             assert derived.derived_hom_dim(x, ys) == \
                 derived_hom_dim_by_replacement(x, ys), (u, v, s)
         assert len(calls) <= 6, (u, v, calls)
+
+
+def test_verify_builds_hom_complexes_only_where_degrees_meet(monkeypatch):
+    # derived_hom_dim answers (0, 0) from the supports of the replacement
+    # and of y where no degree n has both P^n and y^(n+k) nonzero: 336
+    # map_system calls, 302 of them with no unknowns, when every relative
+    # degree built its system; the output is the recorded one
+    calls = []
+    map_system = homology.map_system
+
+    def counted(*args):
+        out = map_system(*args)
+        calls.append(bool(out[0]))
+        return out
+
+    monkeypatch.setattr(homology, "map_system", counted)
+    monkeypatch.setattr(derived, "map_system", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify", RUNNING, "--format", "machine"]) == 0
+    golden = Path(__file__).parent / "golden" / "verify.out"
+    assert out.getvalue() == golden.read_text()
+    assert len(calls) <= 59, (len(calls), calls.count(False))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

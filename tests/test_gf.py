@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tiltlab import gf
 
@@ -228,14 +228,3 @@ def test_quotient_map_is_one_elimination(monkeypatch):
         gf.quotient_map(M([[1] * n]).T, n, 3)
         counts.append(len(calls))
     assert counts == [1] * 8
-
-
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(matrices(), matrices())
-@example((2, gf.zeros(0, 3)), (3, M([[1, 2]]).T))
-@example((2, M([[1, 1]])), (3, gf.zeros(2, 0)))
-def test_kron_matches_numpy(pa, pb):
-    a, b = pa[1], pb[1]
-    got = gf.kron(a, b)
-    assert got.shape == np.kron(a, b).shape and got.dtype == np.int64
-    assert np.array_equal(got, np.kron(a, b))

@@ -11,8 +11,10 @@ from tiltlab import cli, gf, homology as hl
 from tiltlab import rep
 from tiltlab.errors import InfiniteGlobalDimension, NotBasic
 
-from helpers import (change_of_basis, counit_map, ext_dims_by_coordinates,
-                     presentations_match)
+from helpers import (abstract_map_to_module_map, change_of_basis, counit_map,
+                     ext_dims_by_coordinates,
+                     hom_induced_map, presentations_match, tensor_induced_map,
+                     tensor_over_b)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +146,7 @@ def _induced_by_columns(data, src, tgt, f):
     phi = np.stack(
         [gf.solve(flat, rep.compose(f, h).total().reshape(-1, 1), p)[:, 0]
          for h in src.extra], axis=1)
-    return rep.abstract_map_to_module_map(src.module, src.bases, tgt.module,
+    return abstract_map_to_module_map(src.module, src.bases, tgt.module,
                                           tgt.bases, phi)
 
 
@@ -176,7 +178,7 @@ def test_batched_transport_matches_per_column_solves(setup, end_data, data):
     for c, g in zip(coeffs, maps):
         if c:
             f = f + g
-    got = hl.hom_induced_map(end_data, hx, hy, f)
+    got = hom_induced_map(end_data, hx, hy, f)
     want = _induced_by_columns(end_data, hx, hy, f)
     assert np.array_equal(got.total(), want.total())
 
@@ -206,7 +208,7 @@ def test_counit_is_iso_on_torsion_class(setup, end_data):
 def test_tensor_of_simple_b_module(setup, end_data):
     # T (x)_B S(6) recovers the projective 2/3
     s6 = rep.simple(end_data.b, 6)
-    t = hl.tensor_over_b(end_data, s6)
+    t = tensor_over_b(end_data, s6)
     assert t.module.dim_vector() == (0, 1, 1)
 
 
@@ -314,26 +316,31 @@ def test_tor_table_resolves_each_module_once(capsys, monkeypatch):
     assert seen and max(seen.values()) == 1
 
 
-def test_tor_table_tensors_each_module_once(capsys, monkeypatch):
-    seen, asked = {}, []
-    tensor, tensor_over_b = hl._tensor, hl.tensor_over_b
+def test_tor_table_builds_no_tor_module(capsys, monkeypatch):
+    # the table reads ranks off T (x)_B P_*: no Tor module, no module built
+    # from an abstract action (the balance quotient or a Hom solve), and
+    # one resolution and one tensored complex per distinct B-module
+    seen, tensored, built = {}, [], []
+    resolve, tensor_resolution = hl._resolve, hl.tensor_resolution
 
-    def counted(data, n):
-        key = (id(n.algebra), n.encode())
+    def counted(m):
+        key = (id(m.algebra), m.encode())
         seen[key] = seen.get(key, 0) + 1
-        return tensor(data, n)
+        return resolve(m)
 
-    def asked_for(data, n):
-        asked.append(n.encode())
-        return tensor_over_b(data, n)
-
-    monkeypatch.setattr(hl, "_tensor", counted)
-    monkeypatch.setattr(hl, "tensor_over_b", asked_for)
+    monkeypatch.setattr(hl, "_resolve", counted)
+    monkeypatch.setattr(hl, "tensor_resolution", lambda data, n: (
+        tensored.append(n) or tensor_resolution(data, n)))
+    monkeypatch.setattr(hl, "_tor_modules", lambda *a: built.append(a))
+    monkeypatch.setattr(rep, "rep_from_abstract", lambda *a: built.append(a))
     bundled = str(resources.files("tiltlab").joinpath("data/running.tilt"))
     assert cli.main(["tor-table", bundled]) == 0
     capsys.readouterr()
-    # 8 tensor products of 5 distinct B-modules when each was built anew
-    assert len(asked) == 8 and len(seen) == len(set(asked)) == 5
+    assert not built
+    b = tensored[0].algebra
+    assert all(n.algebra is b for n in tensored)
+    on_b = [k for k in seen if k[0] == id(b)]
+    assert len(tensored) == len(on_b) == 5
     assert max(seen.values()) == 1
 
 
@@ -427,10 +434,10 @@ def _ext_per_degree(data, x, i):
     homs = [hl.hom_as_b_module(data, term) for term in terms]
     incoming = outgoing = None
     if i > 0:
-        incoming = hl.hom_induced_map(data, homs[i - 1], homs[i],
+        incoming = hom_induced_map(data, homs[i - 1], homs[i],
                                       diffs[i - 1])
     if i + 1 < len(terms):
-        outgoing = hl.hom_induced_map(data, homs[i], homs[i + 1], diffs[i])
+        outgoing = hom_induced_map(data, homs[i], homs[i + 1], diffs[i])
     if outgoing is None and incoming is None:
         return homs[i].module
     return hl.homology_at(incoming, outgoing)
@@ -440,12 +447,12 @@ def _tor_per_degree(data, n, i):
     terms, diffs = _resolution_per_call(n)
     if i >= len(terms):
         return rep.zero_module(data.t.algebra)
-    tens = [hl.tensor_over_b(data, term) for term in terms]
+    tens = [tensor_over_b(data, term) for term in terms]
     incoming = outgoing = None
     if i + 1 < len(terms):
-        incoming = hl.tensor_induced_map(data, tens[i + 1], tens[i], diffs[i])
+        incoming = tensor_induced_map(data, tens[i + 1], tens[i], diffs[i])
     if i > 0:
-        outgoing = hl.tensor_induced_map(data, tens[i], tens[i - 1],
+        outgoing = tensor_induced_map(data, tens[i], tens[i - 1],
                                          diffs[i - 1])
     if incoming is None and outgoing is None:
         return tens[i].module
@@ -519,3 +526,53 @@ def test_memoized_ext_and_tor_match_per_degree_computation(p, data):
         for i in degrees:
             _assert_isomorphic(hl.tor_over_b(warm, exts[j], i),
                                _tor_per_degree(fresh, ref_on_fresh, i))
+
+
+@functools.cache
+def _benchmark_context(name):
+    """End(T), the indecomposable A-modules and the knitted ind B for the
+    tilting modules of the module-side benchmark workspaces: the running
+    example over F_2 and F_3, D(A) over linear A4 with rad^2 = 0, and the
+    APR tilt 2 + P_2 + P_1 of the path algebra of linear A3."""
+    q3 = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    if name == "a4_da":
+        q4 = make_quiver([1, 2, 3, 4],
+                         [("a", 1, 2), ("b", 2, 3), ("c", 3, 4)])
+        alg = build_algebra(q4, ["a*b", "b*c"], 2)
+        parts = [rep.injective(alg, v) for v in (1, 2, 3, 4)]
+    elif name == "a3_apr":
+        alg = build_algebra(q3, [], 2)
+        parts = [rep.simple(alg, 2), rep.projective(alg, 2),
+                 rep.projective(alg, 1)]
+    else:
+        alg = build_algebra(q3, ["a*b"], 3 if name == "running_f3" else 2)
+        parts = [rep.projective(alg, 2), rep.projective(alg, 1),
+                 rep.injective(alg, 1)]
+    data = hl.endomorphism_algebra(rep.direct_sum(parts)[0])
+    bound = len(alg.quiver.vertices)
+    return (data, rep.enumerate_indecomposable_modules(alg, bound),
+            rep.enumerate_indecomposable_modules(data.b, bound))
+
+
+@pytest.mark.parametrize("name", ["running", "running_f3", "a4_da",
+                                  "a3_apr"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_ext_and_tor_read_off_t_match_the_solving_routes(name, data):
+    # Ext against Hom solves on the injective coresolution, Tor against
+    # the balance quotient on the projective resolution, in every degree
+    end, mods, ind_b = _benchmark_context(name)
+    m = change_of_basis(data.draw, rep.direct_sum(data.draw(
+        st.lists(st.sampled_from(mods), min_size=1, max_size=2)))[0])
+    degrees = range(5)
+    exts = [hl.ext_as_b_module(end, m, j) for j in degrees]
+    for j in degrees:
+        _assert_isomorphic(exts[j], _ext_per_degree(end, m, j))
+    n_b = change_of_basis(data.draw, data.draw(st.sampled_from(ind_b)))
+    for n in exts + [n_b]:
+        dims = hl.tor_dims(end, n)
+        for i in degrees:
+            want = _tor_per_degree(end, n, i)
+            assert (dims[i] if i < len(dims) else (0,) * len(want.dims)) \
+                == want.dim_vector(), (n.dim_vector(), i)
+            _assert_isomorphic(hl.tor_over_b(end, n, i), want)

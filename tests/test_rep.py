@@ -6,7 +6,8 @@ from tiltlab.algebra import build_algebra, make_quiver
 from tiltlab import gf, homology, rep
 from tiltlab.errors import RelationViolated
 
-from helpers import change_of_basis
+from helpers import (abstract_map_to_module_map, change_of_basis,
+                     hom_space_by_kron)
 
 
 def _running_example():
@@ -233,6 +234,36 @@ def test_split_by_idempotent_maps_are_a_decomposition(a3, data):
     assert np.array_equal(total.total(), rep.identity_map(m).total())
 
 
+def _hom_test_algebras():
+    """The running example over F_2 and F_3, linear A3 over F_3, and a
+    loop x with x^2 = 0 at the source of an arrow, over F_3."""
+    q3 = make_quiver([1, 2, 3], [("a", 1, 2), ("b", 2, 3)])
+    loop = make_quiver([1, 2], [("x", 1, 1), ("y", 1, 2)])
+    return [build_algebra(q3, ["a*b"], 2), build_algebra(q3, ["a*b"], 3),
+            build_algebra(q3, [], 3), build_algebra(loop, ["x*x"], 3)]
+
+
+@pytest.fixture(scope="module")
+def hom_test_modules():
+    return [rep.enumerate_indecomposable_modules(alg, 3)
+            for alg in _hom_test_algebras()]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_hom_space_rows_give_the_kronecker_basis(hom_test_modules, data):
+    # the row-list system has the unknowns and rows of the Kronecker one,
+    # so the same echelon form and the same basis, map for map
+    mods = data.draw(st.sampled_from(hom_test_modules))
+    m, n = (change_of_basis(data.draw, rep.direct_sum(data.draw(
+        st.lists(st.sampled_from(mods), min_size=1, max_size=2)))[0])
+        for _ in range(2))
+    got = [f.total() for f in rep.hom_space(m, n)]
+    want = hom_space_by_kron(m, n)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_decompose_multiplicities(a3, projs):
     m, _, _ = rep.direct_sum([projs[1], projs[1], projs[3]])
     parts = rep.decompose(m)
@@ -318,8 +349,8 @@ def test_abstract_map_round_trip(a3, projs):
         return np.stack(cols, axis=1) % a3.p
 
     m, bases = rep.rep_from_abstract(a3, a3.dim, rho)
-    f = rep.abstract_map_to_module_map(m, bases, m, bases,
-                                       np.eye(a3.dim, dtype=np.int64))
+    f = abstract_map_to_module_map(m, bases, m, bases,
+                                   np.eye(a3.dim, dtype=np.int64))
     assert f.is_iso()
 
 
