@@ -537,7 +537,7 @@ def counit_map(data, x):
         raise InternalInconsistency("evaluation does not kill the relations")
     phi = gf.mul(ev, sec, p)
     return abstract_map_to_module_map(tens.module, tens.bases, x,
-                                          homology.module_self_bases(x), phi)
+                                      homology.module_self_bases(x), phi)
 
 
 # -- Hom(T, -) and T (x)_B - by solves and the balance quotient, as oracles ---
@@ -552,7 +552,7 @@ def hom_induced_map(data, src, tgt, f):
     moved = f.total() @ np.stack([h.total() for h in src.extra])
     phi = gf.solve(tgt_flat, moved.reshape(len(src.extra), -1).T % p, p)
     return abstract_map_to_module_map(src.module, src.bases,
-                                          tgt.module, tgt.bases, phi)
+                                      tgt.module, tgt.bases, phi)
 
 
 def tensor_over_b(data, n):
@@ -598,7 +598,7 @@ def tensor_induced_map(data, src, tgt, g):
     big = np.kron(gf.eye(dt), g.total()) % p
     phi = gf.mulchain(p, proj_t, big, sec_s)
     return abstract_map_to_module_map(src.module, src.bases,
-                                          tgt.module, tgt.bases, phi)
+                                      tgt.module, tgt.bases, phi)
 
 
 def hom_space_by_kron(m, n) -> list:

@@ -12,9 +12,8 @@ from tiltlab import rep
 from tiltlab.errors import InfiniteGlobalDimension, NotBasic
 
 from helpers import (abstract_map_to_module_map, change_of_basis, counit_map,
-                     ext_dims_by_coordinates,
-                     hom_induced_map, presentations_match, tensor_induced_map,
-                     tensor_over_b)
+                     ext_dims_by_coordinates, hom_induced_map,
+                     presentations_match, tensor_induced_map, tensor_over_b)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +146,7 @@ def _induced_by_columns(data, src, tgt, f):
         [gf.solve(flat, rep.compose(f, h).total().reshape(-1, 1), p)[:, 0]
          for h in src.extra], axis=1)
     return abstract_map_to_module_map(src.module, src.bases, tgt.module,
-                                          tgt.bases, phi)
+                                      tgt.bases, phi)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
@@ -435,7 +434,7 @@ def _ext_per_degree(data, x, i):
     incoming = outgoing = None
     if i > 0:
         incoming = hom_induced_map(data, homs[i - 1], homs[i],
-                                      diffs[i - 1])
+                                   diffs[i - 1])
     if i + 1 < len(terms):
         outgoing = hom_induced_map(data, homs[i], homs[i + 1], diffs[i])
     if outgoing is None and incoming is None:
@@ -453,7 +452,7 @@ def _tor_per_degree(data, n, i):
         incoming = tensor_induced_map(data, tens[i + 1], tens[i], diffs[i])
     if i > 0:
         outgoing = tensor_induced_map(data, tens[i], tens[i - 1],
-                                         diffs[i - 1])
+                                      diffs[i - 1])
     if incoming is None and outgoing is None:
         return tens[i].module
     return hl.homology_at(incoming, outgoing)
